@@ -546,92 +546,71 @@ bench::JsonObject measure_stability_debt() {
 
 /// Steady-state gossip economy (the quiescence measurement): a 6-node
 /// group delivers a paced burst, converges, then sits idle for 10 virtual
-/// seconds.  With quiescence on, converged members go silent and most
-/// standalone rounds during the burst fold into piggybacked frontiers;
-/// with it off (the classic fixed cadence, NodeConfig::quiescent = false)
-/// every member gossips every interval forever.  Reports idle
-/// bytes/member/s both ways, the reduction factor, and the virtual time
-/// each mode took to converge after the burst — which must match: silence
-/// must not buy latency.
+/// seconds.  Converged members go silent and most standalone rounds during
+/// the burst fold into piggybacked frontiers.  Reports idle bytes/member/s
+/// and the virtual time the group took to converge after the burst.  The
+/// retired fixed-cadence gossip idled at 650 B/member/s with the same 40 ms
+/// convergence (bench/baseline/BENCH_micro_pr8.json).
 bench::JsonObject measure_steady_state_bytes() {
   constexpr std::size_t kNodes = 6;
-  struct Outcome {
-    double convergence_ms = -1.0;  // -1 = did not converge (a bug)
-    double idle_bytes_per_member_s = 0.0;
-    std::uint64_t rounds_suppressed = 0;
-    std::uint64_t piggybacks = 0;
-  };
-  const auto run = [&](bool quiescent) {
-    Outcome out;
-    sim::Simulator sim;
-    core::Group::Config cfg;
-    cfg.size = kNodes;
-    cfg.node.relation = std::make_shared<obs::EmptyRelation>();
-    cfg.node.quiescent = quiescent;
-    cfg.auto_membership = false;
-    core::Group group(sim, cfg);
-    const auto payload = std::make_shared<NullPayload>();
-    const auto drain = [&] {
-      for (std::size_t n = 0; n < kNodes; ++n) {
-        while (group.node(n).try_deliver().has_value()) {
-        }
-      }
-    };
-    // Paced burst: one multicast per virtual millisecond.  The classic
-    // mode's gossip timer never stops, so the whole measurement runs in
-    // bounded run_until slices — never sim.run().
-    for (int i = 0; i < 64; ++i) {
-      group.node(0).multicast(payload, obs::Annotation::none());
-      sim.run_until(sim.now() + sim::Duration::millis(1));
-      drain();
-    }
-    const auto converged = [&] {
-      for (std::size_t n = 0; n < kNodes; ++n) {
-        const auto& ledger = group.node(n).stability_ledger();
-        if (group.node(n).delivered_retained() != 0 ||
-            ledger.own_debts() != 0 || ledger.merged_debts() != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-    const sim::TimePoint burst_end = sim.now();
-    const auto deadline = burst_end + sim::Duration::seconds(30.0);
-    while (!converged() && sim.now() < deadline) {
-      sim.run_until(sim.now() + sim::Duration::millis(10));
-      drain();
-    }
-    if (converged()) {
-      out.convergence_ms =
-          static_cast<double>((sim.now() - burst_end).as_micros()) / 1000.0;
-    }
-    // Idle window: the application sends nothing for 10 virtual seconds,
-    // so every byte on the wire is background gossip.
-    const std::uint64_t bytes_before = group.network().stats().bytes_sent;
-    sim.run_until(sim.now() + sim::Duration::seconds(10.0));
-    const std::uint64_t idle_bytes =
-        group.network().stats().bytes_sent - bytes_before;
-    out.idle_bytes_per_member_s =
-        static_cast<double>(idle_bytes) / (10.0 * kNodes);
+  sim::Simulator sim;
+  core::Group::Config cfg;
+  cfg.size = kNodes;
+  cfg.node.relation = std::make_shared<obs::EmptyRelation>();
+  cfg.auto_membership = false;
+  core::Group group(sim, cfg);
+  const auto payload = std::make_shared<NullPayload>();
+  const auto drain = [&] {
     for (std::size_t n = 0; n < kNodes; ++n) {
-      out.rounds_suppressed += group.node(n).stats().gossip_rounds_suppressed;
-      out.piggybacks += group.node(n).stats().frontier_piggybacks;
+      while (group.node(n).try_deliver().has_value()) {
+      }
     }
-    return out;
   };
-  const Outcome on = run(true);
-  const Outcome off = run(false);
+  // Paced burst: one multicast per virtual millisecond.
+  for (int i = 0; i < 64; ++i) {
+    group.node(0).multicast(payload, obs::Annotation::none());
+    sim.run_until(sim.now() + sim::Duration::millis(1));
+    drain();
+  }
+  const auto converged = [&] {
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      const auto& ledger = group.node(n).stability_ledger();
+      if (group.node(n).delivered_retained() != 0 ||
+          ledger.own_debts() != 0 || ledger.merged_debts() != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const sim::TimePoint burst_end = sim.now();
+  const auto deadline = burst_end + sim::Duration::seconds(30.0);
+  while (!converged() && sim.now() < deadline) {
+    sim.run_until(sim.now() + sim::Duration::millis(10));
+    drain();
+  }
+  double convergence_ms = -1.0;  // -1 = did not converge (a bug)
+  if (converged()) {
+    convergence_ms =
+        static_cast<double>((sim.now() - burst_end).as_micros()) / 1000.0;
+  }
+  // Idle window: the application sends nothing for 10 virtual seconds,
+  // so every byte on the wire is background gossip.
+  const std::uint64_t bytes_before = group.network().stats().bytes_sent;
+  sim.run_until(sim.now() + sim::Duration::seconds(10.0));
+  const std::uint64_t idle_bytes =
+      group.network().stats().bytes_sent - bytes_before;
+  std::uint64_t rounds_suppressed = 0;
+  std::uint64_t piggybacks = 0;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    rounds_suppressed += group.node(n).stats().gossip_rounds_suppressed;
+    piggybacks += group.node(n).stats().frontier_piggybacks;
+  }
   bench::JsonObject o;
-  o.add("idle_bytes_per_member_s_quiescent", on.idle_bytes_per_member_s)
-      .add("idle_bytes_per_member_s_classic", off.idle_bytes_per_member_s)
-      // +1 keeps the factor finite when quiescent idle cost is exactly 0.
-      .add("idle_reduction_factor",
-           off.idle_bytes_per_member_s / (on.idle_bytes_per_member_s + 1.0))
-      .add("convergence_ms_quiescent", on.convergence_ms)
-      .add("convergence_ms_classic", off.convergence_ms)
-      .add("gossip_rounds_suppressed",
-           static_cast<double>(on.rounds_suppressed))
-      .add("frontier_piggybacks", static_cast<double>(on.piggybacks));
+  o.add("idle_bytes_per_member_s_quiescent",
+        static_cast<double>(idle_bytes) / (10.0 * kNodes))
+      .add("convergence_ms_quiescent", convergence_ms)
+      .add("gossip_rounds_suppressed", static_cast<double>(rounds_suppressed))
+      .add("frontier_piggybacks", static_cast<double>(piggybacks));
   return o;
 }
 
@@ -651,7 +630,6 @@ bench::JsonObject measure_large_group(std::size_t n) {
   core::Group::Config cfg;
   cfg.size = n;
   cfg.node.relation = std::make_shared<obs::EmptyRelation>();
-  cfg.node.quiescent = true;
   cfg.fd_kind = core::Group::FdKind::swim;
   cfg.swim.seed = 0x516;
   cfg.auto_membership = false;

@@ -6,10 +6,7 @@ namespace svs::core {
 
 Group::Group(sim::Simulator& simulator, Config config) : sim_(simulator) {
   SVS_REQUIRE(config.size >= 1, "a group needs at least one member");
-  if (config.backend == Backend::threaded_loopback) {
-    network_ =
-        std::make_unique<net::ThreadedLoopback>(simulator, config.network);
-  } else if (config.backend == Backend::udp) {
+  if (config.backend == Backend::udp) {
     net::UdpTransport::Config udp;
     udp.network = config.network;
     udp.link = config.udp_link;

@@ -12,7 +12,6 @@
 #include "fd/heartbeat.hpp"
 #include "fd/oracle.hpp"
 #include "fd/swim.hpp"
-#include "net/loopback.hpp"
 #include "net/network.hpp"
 #include "net/udp_transport.hpp"
 #include "sim/simulator.hpp"
@@ -25,12 +24,10 @@ class Group {
 
   /// Which net::Transport implementation carries the group's traffic.
   enum class Backend {
-    sim,                // in-memory simulated fabric (the default)
-    threaded_loopback,  // every delivery encoded, moved across a wire
-                        // thread as bytes, and decoded fresh
-    udp,                // every delivery shipped through the kernel as a
-                        // real UDP datagram, recovered by the reliable
-                        // lane (net/udp_transport.hpp, all-local mode)
+    sim,  // in-memory simulated fabric (the default)
+    udp,  // every delivery encoded, shipped through the kernel as a real
+          // UDP datagram, recovered by the reliable lane and decoded fresh
+          // (net/udp_transport.hpp, all-local mode)
   };
 
   struct Config {
@@ -78,11 +75,7 @@ class Group {
     return policies_.empty() ? nullptr : policies_.at(i).get();
   }
   [[nodiscard]] net::Transport& network() { return *network_; }
-  /// The loopback backend's wire telemetry; null on the other backends.
-  [[nodiscard]] net::ThreadedLoopback* loopback() {
-    return dynamic_cast<net::ThreadedLoopback*>(network_.get());
-  }
-  /// The UDP backend's lane telemetry and sockets; null on the others.
+  /// The UDP backend's lane telemetry and sockets; null on the sim backend.
   [[nodiscard]] net::UdpTransport* udp() {
     return dynamic_cast<net::UdpTransport*>(network_.get());
   }

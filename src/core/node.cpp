@@ -31,8 +31,7 @@ Node::Node(sim::Simulator& simulator, net::Transport& network,
       config_(std::move(config)),
       observer_(observer),
       view_(std::move(initial)),
-      queue_(config_.relation, self, observer,
-             config_.indexed_delivery_queue),
+      queue_(config_.relation, self, observer),
       consensus_mux_(self) {
   SVS_REQUIRE(config_.relation != nullptr, "a relation oracle is required");
   SVS_REQUIRE(view_.contains(self_), "initial view must contain this node");
@@ -48,10 +47,6 @@ Node::Node(sim::Simulator& simulator, net::Transport& network,
   // from the delivery stream.
   queue_.push_view(view_);
   compute_ring_successors();
-  // Classic fixed-cadence mode sends a round every interval from the start
-  // and never parks; quiescent mode arms only when there is something to
-  // report.
-  if (!config_.quiescent) arm_stability_gossip();
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +431,7 @@ void Node::arm_stability_gossip() {
 void Node::gossip_stability() {
   if (excluded_) return;
 
-  // Quiescent mode (DESIGN.md §10): a clean timer firing is *suppressed* —
+  // Quiescent gossip (DESIGN.md §10): a clean timer firing is *suppressed* —
   // silence tells the peers "nothing changed", which is sound because
   // frontiers are monotone and merging is idempotent (a peer that misses
   // nothing can learn nothing from an empty round).  Silence is bounded:
@@ -445,11 +440,10 @@ void Node::gossip_stability() {
   // heartbeat, which repairs any lost round; heartbeats that observe no
   // progress are budgeted so a floor held down by a crashed member (which
   // only a view change can lift) parks the timer instead of ticking
-  // forever.  Classic mode ships the (possibly empty) round every interval
-  // — the pre-quiescence fixed-cadence baseline.
+  // forever.
   bool force_full = false;
   const bool relay_news = ring_mode() && !dirty_rows_.empty();
-  if (!stability_.dirty() && !relay_news && config_.quiescent) {
+  if (!stability_.dirty() && !relay_news) {
     if (refresh_pending_) {
       refresh_pending_ = false;
       force_full = true;  // anti-entropy response to a still-gossiping peer
@@ -590,17 +584,17 @@ void Node::handle_stability(net::ProcessId from,
 }
 
 void Node::consider_refresh(bool news) {
-  // Anti-entropy refresh (quiescent mode): a round that taught this node
-  // *nothing* is a peer re-sending state we already merged — a stuck peer,
-  // most likely missing this node's report (lost ahead of a silent
-  // stretch) and heartbeating against a floor that cannot move without
-  // it.  Answer with one forced full round, at most once per progress
-  // epoch (refresh_spent_) and once per heartbeat window (last_refresh_),
-  // so mutual refreshes between two stuck nodes terminate instead of
+  // Anti-entropy refresh: a round that taught this node *nothing* is a
+  // peer re-sending state we already merged — a stuck peer, most likely
+  // missing this node's report (lost ahead of a silent stretch) and
+  // heartbeating against a floor that cannot move without it.  Answer
+  // with one forced full round, at most once per progress epoch
+  // (refresh_spent_) and once per heartbeat window (last_refresh_), so
+  // mutual refreshes between two stuck nodes terminate instead of
   // ping-ponging forever.  A round carrying news never triggers a refresh:
   // mid-traffic rounds always advance something here, and the sender will
   // get this node's state from its ordinary dirty rounds.
-  if (config_.quiescent && !news && !refresh_spent_ &&
+  if (!news && !refresh_spent_ &&
       config_.stability_interval > sim::Duration::zero() &&
       sim_.now() - last_refresh_ >=
           config_.stability_interval *
@@ -633,15 +627,14 @@ void Node::collect_stable() {
 }
 
 void Node::maybe_attach_piggyback(DataMessage& m) {
-  // Quiescent mode rides the stability delta on outgoing DATA: under
+  // Quiescent gossip rides the stability delta on outgoing DATA: under
   // traffic the group's stability knowledge spreads at data latency with a
   // few extra bytes per message, so the standalone gossip lane stays
   // suppressed.  Rate-limited to one section per stability_interval — the
   // cadence a standalone round would have had — so a flood does not pay
   // section bytes on every message.  Runs post-commit, pre-encode: the
   // message has its final seq but no cached wire size or frame yet.
-  if (!config_.quiescent ||
-      config_.stability_interval <= sim::Duration::zero() ||
+  if (config_.stability_interval <= sim::Duration::zero() ||
       !stability_.dirty()) {
     return;
   }
@@ -844,7 +837,6 @@ void Node::install(const ProposalValue& decided) {
   note_gossip_progress();  // a view change is churn: silence starts over
   refresh_pending_ = false;
   piggyback_sent_ = false;  // the new view re-anchors the piggyback cadence
-  if (!config_.quiescent) arm_stability_gossip();
 
   // Outgoing messages of superseded views would be discarded on arrival;
   // reclaim their buffer space now (this is what frees the buffers that

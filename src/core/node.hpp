@@ -62,29 +62,22 @@ struct NodeConfig {
   bool purge_delivery_queue = true;
   /// Apply purging to outgoing buffers (sender-side semantic purging, [22]).
   bool purge_outgoing = true;
-  /// Use the per-sender purge index for per_sender() relations; disable to
-  /// force the reference full-scan path (before/after measurements).
-  bool indexed_delivery_queue = true;
   /// The obsolescence relation oracle.  Required.  EmptyRelation yields VS.
   obs::RelationPtr relation;
   /// Period of the stability gossip that garbage-collects the delivered
   /// history once every member received a message (zero disables it; the
-  /// history then grows until the next view change).  The gossip quiesces
-  /// when nothing new was received, so idle groups go silent.
+  /// history then grows until the next view change).
+  ///
+  /// The gossip is quiescent (DESIGN.md §10): a round is suppressed
+  /// entirely when the ledger has no delta to report; while convergence is
+  /// still outstanding every silent_round_period-th clean round escalates
+  /// to a full-vector heartbeat, and after heartbeat_budget consecutive
+  /// no-progress heartbeats the timer parks until new traffic, a merge, or
+  /// an install re-arms it.  Stability sections also piggyback on outgoing
+  /// DATA (at most one per stability_interval), so a group under traffic
+  /// needs almost no standalone gossip and an idle group goes silent.
   sim::Duration stability_interval = sim::Duration::millis(50);
-  /// Adaptive quiescent gossip (DESIGN.md §10).  true (default): a round is
-  /// suppressed entirely when the ledger has no delta to report; while
-  /// convergence is still outstanding every silent_round_period-th clean
-  /// round escalates to a full-vector heartbeat, and after heartbeat_budget
-  /// consecutive no-progress heartbeats the timer parks until new traffic,
-  /// a merge, or an install re-arms it.  Stability sections also piggyback
-  /// on outgoing DATA (at most one per stability_interval), so a group
-  /// under traffic needs almost no standalone gossip.  false: classic fixed
-  /// cadence — a round is sent every interval even when nothing changed and
-  /// nothing piggybacks (the pre-quiescence baseline the steady-state bench
-  /// measures against; it never goes silent, so drive it with run_until).
-  bool quiescent = true;
-  /// Clean rounds between heartbeats while unconverged (quiescent mode).
+  /// Clean rounds between heartbeats while unconverged.
   std::uint64_t silent_round_period = 4;
   /// Consecutive no-progress heartbeats before the gossip timer parks.
   std::uint64_t heartbeat_budget = 8;
@@ -142,7 +135,7 @@ struct NodeStats {
 class Node final : public net::Endpoint {
  public:
   /// The node is backend-agnostic: it talks to any net::Transport (the sim
-  /// fabric, the threaded byte-moving loopback, a future socket backend).
+  /// fabric or the UDP datagram backend, all-local or distributed).
   Node(sim::Simulator& simulator, net::Transport& network,
        fd::FailureDetector& detector, net::ProcessId self, View initial,
        NodeConfig config, NodeObserver* observer = nullptr);
@@ -279,7 +272,7 @@ class Node final : public net::Endpoint {
   void retain_relay_debts(net::ProcessId origin,
                           const StabilityMessage::Debts& debts);
   void consider_refresh(bool news);
-  /// Quiescent-mode helpers (DESIGN.md §10): attach a delta stability
+  /// Quiescent-gossip helpers (DESIGN.md §10): attach a delta stability
   /// section to an outgoing DATA (rate-limited), merge an incoming one
   /// (same semantics as a standalone round of the same view), and record
   /// that reportable state advanced (resets the silence bookkeeping).
@@ -307,13 +300,13 @@ class Node final : public net::Endpoint {
   ViewChangeEngine change_;
   bool stability_armed_ = false;
   std::uint64_t gossip_round_ = 0;  // rounds sent in the current view
-  // Quiescence bookkeeping (quiescent mode only).  clean_rounds_ counts
-  // consecutive timer firings with nothing to report; every
-  // silent_round_period-th one escalates to a heartbeat, and
-  // fruitless_heartbeats_ bounds heartbeats that observe no progress in
-  // (retained, own debts, merged debts).  refresh_spent_ limits the
-  // anti-entropy response to a still-gossiping peer to once per progress
-  // epoch, last_refresh_ rate-limits it under traffic.
+  // Quiescence bookkeeping.  clean_rounds_ counts consecutive timer
+  // firings with nothing to report; every silent_round_period-th one
+  // escalates to a heartbeat, and fruitless_heartbeats_ bounds heartbeats
+  // that observe no progress in (retained, own debts, merged debts).
+  // refresh_spent_ limits the anti-entropy response to a still-gossiping
+  // peer to once per progress epoch, last_refresh_ rate-limits it under
+  // traffic.
   std::uint64_t clean_rounds_ = 0;
   std::uint64_t fruitless_heartbeats_ = 0;
   std::size_t hb_retained_ = 0;

@@ -42,7 +42,7 @@ struct Registry {
   }
 
   /// Returned by value (two function pointers): nothing escapes the lock,
-  /// so concurrent wire-thread lookups never alias a mutating map slot.
+  /// so concurrent lookups never alias a mutating map slot.
   [[nodiscard]] std::optional<Entry> find(std::uint32_t kind) {
     const std::lock_guard<std::mutex> lock(mutex);
     const auto it = entries.find(kind);

@@ -20,8 +20,8 @@
 // Decoding is hardened for untrusted bytes: truncated varints, bad tags,
 // unknown kinds, length overruns and garbage suffixes all throw
 // util::ContractViolation — never UB (tests/codec_test.cpp fuzzes this).
-// Decode is thread-safe after registration (the loopback backend decodes on
-// per-process wire threads); register codecs before traffic flows.
+// Decode only reads the codec registries, so it is thread-safe after
+// registration; register codecs before traffic flows.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ class PayloadCodecRegistry {
   using Decode = core::PayloadPtr (*)(util::ByteReader& r);
 
   /// Registers (or replaces) the codec for `kind` (> 0; 0 is the opaque
-  /// fallback).  Call before transport threads start.
+  /// fallback).  Call before traffic flows.
   static void register_codec(std::uint32_t kind, Encode encode, Decode decode);
 
   [[nodiscard]] static bool registered(std::uint32_t kind);
@@ -70,7 +70,7 @@ class Codec {
   /// for payload/value kinds without a registered codec.
   static void encode(const Message& m, util::ByteWriter& w);
 
-  /// Convenience: `m` as a fresh byte buffer (the loopback wire frame).
+  /// Convenience: `m` as a fresh byte buffer.
   [[nodiscard]] static util::Bytes encode(const Message& m);
 
   /// Encode-once: the message's wire frame as a refcounted immutable

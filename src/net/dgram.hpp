@@ -2,8 +2,8 @@
 // (DESIGN.md §9).
 //
 // One UDP datagram carries exactly one Datagram.  The format sits *below*
-// net::Codec: a data datagram's payload is an opaque codec frame (the same
-// refcounted buffer the loopback wire ships), wrapped in the link-lane
+// net::Codec: a data datagram's payload is an opaque codec frame (the
+// refcounted Codec::shared_frame buffer), wrapped in the link-lane
 // header that makes the datagram channel reliable — a per-(link, lane)
 // sequence number plus a piggybacked acknowledgement block.
 //

@@ -15,7 +15,7 @@
 //     consumer that completely stops.
 //
 // Both Transport backends honor the hook: net::Network consults it
-// directly, and net::ThreadedLoopback forwards to its inner Network, so an
+// directly, and net::UdpTransport forwards to its inner Network, so an
 // injected fault schedule produces byte-identical runs on both.
 //
 // PlannedFaultInjector interprets a sim::FaultPlan.  Each fault draws from

@@ -88,13 +88,13 @@ class Message {
   MessageType type_ = MessageType::other;
   std::uint64_t order_key_ = 0;
   // 0 = not yet computed (no real message encodes to zero bytes: the type
-  // tag alone is one byte).  Messages are confined to one thread at a time
-  // (the loopback wire hands decoded objects across a mutex), so a plain
-  // mutable cell is safe.
+  // tag alone is one byte).  Messages are confined to one protocol thread
+  // (a receiver always gets a decoded copy or a same-thread pointer), so a
+  // plain mutable cell is safe.
   mutable std::size_t wire_size_cache_ = 0;
   // The encode-once frame (null until first needed).  Same confinement
   // argument as above: only the owning protocol thread fills or reads the
-  // cell; wire threads see the immutable Bytes through their own FramePtr
+  // cell; the transport ships the immutable Bytes through its own FramePtr
   // copy, never this field.
   mutable FramePtr frame_cache_;
 };

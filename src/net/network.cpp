@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/fault_injector.hpp"
@@ -262,6 +263,122 @@ std::size_t Network::data_backlog(ProcessId from, ProcessId to) const {
   if (!fi.has_value() || !ti.has_value()) return 0;
   const Link* const l = peek_link(*fi, *ti);
   return l == nullptr ? 0 : l->queue[lane_index(Lane::data)].size();
+}
+
+std::pair<std::deque<Network::QueuedMessage>::iterator,
+          std::deque<Network::QueuedMessage>::iterator>
+Network::window_of(std::deque<QueuedMessage>& q, std::uint64_t floor_key,
+                   std::uint64_t below_key) {
+  auto lo = std::partition_point(
+      q.begin(), q.end(),
+      [&](const QueuedMessage& qm) { return qm.order_key < floor_key; });
+  auto hi = std::partition_point(
+      lo, q.end(),
+      [&](const QueuedMessage& qm) { return qm.order_key < below_key; });
+  return {lo, hi};
+}
+
+std::size_t Network::erase_outgoing(ProcessId from, VictimRef victim,
+                                    bool count_as_purged) {
+  const std::uint32_t fi = index_of(from);
+  const LinkRefScope scope(*this);
+  std::size_t total = 0;
+  auto& row = links_[fi];  // never-used links hold nothing to erase
+  for (std::uint32_t ti = 0; ti < row.size(); ++ti) {
+    if (row[ti] == nullptr) continue;
+    Link& l = *row[ti];
+    auto& q = l.queue[lane_index(Lane::data)];
+    const std::size_t before = q.size();
+    if (before == 0) continue;
+    const bool head_scheduled = l.pending[lane_index(Lane::data)].valid();
+    const Message* head = q.front().message.get();
+
+    std::uint64_t removed_bytes = 0;
+    std::erase_if(q, [&](const QueuedMessage& qm) {
+      if (!victim(qm.message)) return false;
+      removed_bytes += qm.message->wire_size();
+      return true;
+    });
+
+    const std::size_t removed = before - q.size();
+    if (removed == 0) continue;
+    if (count_as_purged) {
+      stats_.purged_outgoing += removed;
+      stats_.bytes_purged += removed_bytes;
+    }
+    notify_drain(fi);
+    reaim_if_head_removed(l, fi, ti, head_scheduled, head);
+    total += removed;
+  }
+  return total;
+}
+
+std::size_t Network::purge_outgoing(ProcessId from, VictimRef victim) {
+  return erase_outgoing(from, victim, /*count_as_purged=*/true);
+}
+
+std::size_t Network::purge_outgoing_window(ProcessId from, ProcessId to,
+                                           std::uint64_t floor_key,
+                                           std::uint64_t below_key,
+                                           VictimRef victim) {
+  if (floor_key >= below_key) return 0;
+  const std::uint32_t fi = index_of(from);
+  const std::uint32_t ti = index_of(to);
+  Link* const lp = peek_link(fi, ti);
+  if (lp == nullptr) return 0;
+  const LinkRefScope scope(*this);
+  Link& l = *lp;
+  auto& q = l.queue[lane_index(Lane::data)];
+  const auto [lo, hi] = window_of(q, floor_key, below_key);
+  if (lo == hi) return 0;
+  stats_.purge_window_scanned += static_cast<std::uint64_t>(hi - lo);
+
+  const bool head_scheduled = l.pending[lane_index(Lane::data)].valid();
+  const Message* head = q.front().message.get();
+
+  // Compact [lo, hi) in place: only the window and the tail shift.
+  auto keep = lo;
+  std::uint64_t removed_bytes = 0;
+  for (auto it = lo; it != hi; ++it) {
+    if (victim(it->message)) {
+      removed_bytes += it->message->wire_size();
+      continue;
+    }
+    if (keep != it) *keep = std::move(*it);
+    ++keep;
+  }
+  const auto removed = static_cast<std::size_t>(hi - keep);
+  if (removed == 0) return 0;
+  q.erase(keep, hi);
+  stats_.purged_outgoing += removed;
+  stats_.bytes_purged += removed_bytes;
+  notify_drain(fi);
+  reaim_if_head_removed(l, fi, ti, head_scheduled, head);
+  return removed;
+}
+
+std::size_t Network::count_outgoing_window(ProcessId from, ProcessId to,
+                                           std::uint64_t floor_key,
+                                           std::uint64_t below_key,
+                                           VictimRef pred) {
+  if (floor_key >= below_key) return 0;
+  const std::uint32_t fi = index_of(from);
+  const std::uint32_t ti = index_of(to);
+  Link* const lp = peek_link(fi, ti);
+  if (lp == nullptr) return 0;
+  const LinkRefScope scope(*this);
+  auto& q = lp->queue[lane_index(Lane::data)];
+  const auto [lo, hi] = window_of(q, floor_key, below_key);
+  stats_.purge_window_scanned += static_cast<std::uint64_t>(hi - lo);
+  std::size_t count = 0;
+  for (auto it = lo; it != hi; ++it) {
+    if (pred(it->message)) ++count;
+  }
+  return count;
+}
+
+std::size_t Network::drop_outgoing(ProcessId from, VictimRef victim) {
+  return erase_outgoing(from, victim, /*count_as_purged=*/false);
 }
 
 void Network::reaim_if_head_removed(Link& l, std::uint32_t fi,

@@ -1,8 +1,8 @@
 // Simulated point-to-point network: n x n reliable FIFO channels (§3.1) with
 // propagation delay, receiver backpressure and purgeable outgoing queues.
-// This is the deterministic sim backend of net::Transport; the threaded
-// loopback backend (net/loopback.hpp) layers a byte-moving wire on top of
-// the same link discipline.
+// This is the deterministic sim backend of net::Transport; the UDP backend
+// (net/udp_transport.hpp) layers a real datagram wire on top of the same
+// link discipline.
 //
 // Model (matches §5.3): each ordered pair (from, to) has one queue per lane.
 // A queued message is still in the *sender's outgoing buffer* until the
@@ -32,23 +32,21 @@
 // buffer purging, detailed in the companion work [22] referenced from §3.3)
 // is exposed via purge_outgoing() and, for senders whose data-lane queues
 // are ordered by Message::order_key, the windowed purge_outgoing_window().
-// The victim predicates are templates on the concrete fast path (no
-// std::function allocation on the fan-out path); the Transport overrides
-// funnel through the same code with a two-word util::FunctionRef.
+// The victim predicates are two-word util::FunctionRefs (no std::function
+// allocation on the fan-out path).
 //
 // Byte accounting: every enqueue records the message's encoded size
 // (wire_size(), contract-checked against net::Codec at every encode site),
 // so bytes_sent / bytes_delivered / bytes_purged are measured wire bytes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/message.hpp"
@@ -134,34 +132,7 @@ class Network final : public Transport {
   /// for which `victim` returns true.  Returns the number removed.  This is
   /// sender-side semantic purging: only messages not yet accepted by the
   /// receiver can be removed.
-  template <typename Victim>
-    requires(!std::is_same_v<std::remove_cvref_t<Victim>, VictimRef>)
-  std::size_t purge_outgoing(ProcessId from, Victim&& victim) {
-    const std::uint32_t fi = index_of(from);
-    std::size_t total = 0;
-    auto& row = links_[fi];  // never-used links hold nothing to purge
-    for (std::uint32_t ti = 0; ti < row.size(); ++ti) {
-      if (row[ti] == nullptr) continue;
-      total += erase_from_link(*row[ti], fi, ti, victim,
-                               /*count_as_purged=*/true);
-    }
-    return total;
-  }
-  std::size_t purge_outgoing(ProcessId from, VictimRef victim) override {
-    return purge_outgoing(
-        from, [&victim](const MessagePtr& m) { return victim(m); });
-  }
-
-  /// As above but restricted to one destination.
-  template <typename Victim>
-  std::size_t purge_outgoing_to(ProcessId from, ProcessId to,
-                                Victim&& victim) {
-    const std::uint32_t fi = index_of(from);
-    const std::uint32_t ti = index_of(to);
-    Link* const l = peek_link(fi, ti);
-    if (l == nullptr) return 0;
-    return erase_from_link(*l, fi, ti, victim, /*count_as_purged=*/true);
-  }
+  std::size_t purge_outgoing(ProcessId from, VictimRef victim) override;
 
   /// Windowed sender-side purge (DESIGN.md §2): visits only the queued
   /// data-lane messages whose order key lies in [floor_key, below_key),
@@ -170,106 +141,22 @@ class Network final : public Transport {
   /// Relation::coverage_floor.  Precondition: the from -> to data queue is
   /// non-decreasing in Message::order_key (true for protocol senders, which
   /// emit their own seqs in order).  Returns the number removed.
-  template <typename Victim>
-    requires(!std::is_same_v<std::remove_cvref_t<Victim>, VictimRef>)
-  std::size_t purge_outgoing_window(ProcessId from, ProcessId to,
-                                    std::uint64_t floor_key,
-                                    std::uint64_t below_key, Victim&& victim) {
-    if (floor_key >= below_key) return 0;
-    const std::uint32_t fi = index_of(from);
-    const std::uint32_t ti = index_of(to);
-    Link* const lp = peek_link(fi, ti);
-    if (lp == nullptr) return 0;
-    const LinkRefScope scope(*this);
-    Link& l = *lp;
-    auto& q = l.queue[lane_index(Lane::data)];
-    const auto [lo, hi] = window_of(q, floor_key, below_key);
-    if (lo == hi) return 0;
-    stats_.purge_window_scanned += static_cast<std::uint64_t>(hi - lo);
-
-    const bool head_scheduled = l.pending[lane_index(Lane::data)].valid();
-    const Message* head = q.front().message.get();
-
-    // Compact [lo, hi) in place: only the window and the tail shift.
-    auto keep = lo;
-    std::uint64_t removed_bytes = 0;
-    for (auto it = lo; it != hi; ++it) {
-      if (victim(it->message)) {
-        removed_bytes += it->message->wire_size();
-        continue;
-      }
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    }
-    const auto removed = static_cast<std::size_t>(hi - keep);
-    if (removed == 0) return 0;
-    q.erase(keep, hi);
-    stats_.purged_outgoing += removed;
-    stats_.bytes_purged += removed_bytes;
-    notify_drain(fi);
-    reaim_if_head_removed(l, fi, ti, head_scheduled, head);
-    return removed;
-  }
   std::size_t purge_outgoing_window(ProcessId from, ProcessId to,
                                     std::uint64_t floor_key,
                                     std::uint64_t below_key,
-                                    VictimRef victim) override {
-    return purge_outgoing_window(
-        from, to, floor_key, below_key,
-        [&victim](const MessagePtr& m) { return victim(m); });
-  }
+                                    VictimRef victim) override;
 
   /// Number of messages purge_outgoing_window would remove, without
   /// removing them (the flow-control admission pre-check of t2).
-  template <typename Pred>
-    requires(!std::is_same_v<std::remove_cvref_t<Pred>, VictimRef>)
-  std::size_t count_outgoing_window(ProcessId from, ProcessId to,
-                                    std::uint64_t floor_key,
-                                    std::uint64_t below_key, Pred&& pred) {
-    if (floor_key >= below_key) return 0;
-    const std::uint32_t fi = index_of(from);
-    const std::uint32_t ti = index_of(to);
-    Link* const lp = peek_link(fi, ti);
-    if (lp == nullptr) return 0;
-    const LinkRefScope scope(*this);
-    auto& q = lp->queue[lane_index(Lane::data)];
-    const auto [lo, hi] = window_of(q, floor_key, below_key);
-    stats_.purge_window_scanned += static_cast<std::uint64_t>(hi - lo);
-    std::size_t count = 0;
-    for (auto it = lo; it != hi; ++it) {
-      if (pred(it->message)) ++count;
-    }
-    return count;
-  }
   std::size_t count_outgoing_window(ProcessId from, ProcessId to,
                                     std::uint64_t floor_key,
                                     std::uint64_t below_key,
-                                    VictimRef pred) override {
-    return count_outgoing_window(
-        from, to, floor_key, below_key,
-        [&pred](const MessagePtr& m) { return pred(m); });
-  }
+                                    VictimRef pred) override;
 
   /// Drops every queued data-lane message from -> * matching `victim`.
   /// Unlike purge_outgoing this is not counted as semantic purging; it is
   /// used at view installation to discard messages of superseded views.
-  template <typename Victim>
-    requires(!std::is_same_v<std::remove_cvref_t<Victim>, VictimRef>)
-  std::size_t drop_outgoing(ProcessId from, Victim&& victim) {
-    const std::uint32_t fi = index_of(from);
-    std::size_t total = 0;
-    auto& row = links_[fi];
-    for (std::uint32_t ti = 0; ti < row.size(); ++ti) {
-      if (row[ti] == nullptr) continue;
-      total += erase_from_link(*row[ti], fi, ti, victim,
-                               /*count_as_purged=*/false);
-    }
-    return total;
-  }
-  std::size_t drop_outgoing(ProcessId from, VictimRef victim) override {
-    return drop_outgoing(
-        from, [&victim](const MessagePtr& m) { return victim(m); });
-  }
+  std::size_t drop_outgoing(ProcessId from, VictimRef victim) override;
 
   /// Adds `extra` to the propagation delay of link from -> to (simulated
   /// network perturbation).  Pass zero to clear.
@@ -342,15 +229,7 @@ class Network final : public Transport {
   static std::pair<std::deque<QueuedMessage>::iterator,
                    std::deque<QueuedMessage>::iterator>
   window_of(std::deque<QueuedMessage>& q, std::uint64_t floor_key,
-            std::uint64_t below_key) {
-    auto lo = std::partition_point(
-        q.begin(), q.end(),
-        [&](const QueuedMessage& qm) { return qm.order_key < floor_key; });
-    auto hi = std::partition_point(
-        lo, q.end(),
-        [&](const QueuedMessage& qm) { return qm.order_key < below_key; });
-    return {lo, hi};
-  }
+            std::uint64_t below_key);
 
   /// Shared epilogue of every erase path: if the scheduled head was
   /// removed, re-aim the pending attempt at the new head.
@@ -376,33 +255,11 @@ class Network final : public Transport {
   };
   friend class LinkRefScope;
 
-  template <typename Victim>
-  std::size_t erase_from_link(Link& l, std::uint32_t fi, std::uint32_t ti,
-                              Victim&& victim, bool count_as_purged) {
-    const LinkRefScope scope(*this);
-    auto& q = l.queue[lane_index(Lane::data)];
-    const std::size_t before = q.size();
-    if (before == 0) return 0;
-    const bool head_scheduled = l.pending[lane_index(Lane::data)].valid();
-    const Message* head = q.front().message.get();
-
-    std::uint64_t removed_bytes = 0;
-    std::erase_if(q, [&](const QueuedMessage& qm) {
-      if (!victim(qm.message)) return false;
-      removed_bytes += qm.message->wire_size();
-      return true;
-    });
-
-    const std::size_t removed = before - q.size();
-    if (removed == 0) return 0;
-    if (count_as_purged) {
-      stats_.purged_outgoing += removed;
-      stats_.bytes_purged += removed_bytes;
-    }
-    notify_drain(fi);
-    reaim_if_head_removed(l, fi, ti, head_scheduled, head);
-    return removed;
-  }
+  /// Shared body of purge_outgoing and drop_outgoing: erases `from`'s
+  /// queued data-lane messages matching `victim`, on every link; only a
+  /// purge counts them (and their bytes) as semantic purging.
+  std::size_t erase_outgoing(ProcessId from, VictimRef victim,
+                             bool count_as_purged);
 
   /// The link from -> to, materialized on first use.
   [[nodiscard]] Link& link_at(std::uint32_t fi, std::uint32_t ti) {

@@ -7,16 +7,17 @@
 //   * net::Network   (network.hpp)  — the deterministic simulated fabric:
 //     n×n FIFO links with propagation delay, backpressure and purgeable
 //     outgoing queues, driven by the virtual-time simulator.
-//   * net::ThreadedLoopback (loopback.hpp) — the same link discipline, but
-//     every delivery crosses a real thread boundary as an *encoded byte
-//     buffer* (net::Codec): the receiver operates on a freshly decoded
-//     message, never on the sender's object.  This is what proves nothing
-//     in core/ depends on in-memory aliasing, and what makes the byte
-//     counters measurements instead of estimates.
+//   * net::UdpTransport (udp_transport.hpp) — the same link discipline
+//     (it contains a net::Network), but every delivery crosses the kernel
+//     as an *encoded* UDP datagram (net::Codec) under a reliable lane: the
+//     receiver operates on a freshly decoded message, never on the
+//     sender's object.  This is what proves nothing in core/ depends on
+//     in-memory aliasing, and what makes the byte counters measurements
+//     instead of estimates.  Distributed mode (tools/svs_proc) runs one
+//     member per OS process over the same backend.
 //
 // The victim predicates of the purge operations cross the virtual boundary
-// as util::FunctionRef (two words, non-owning, no allocation); the sim
-// backend additionally keeps template fast paths for concrete callers.
+// as util::FunctionRef (two words, non-owning, no allocation).
 //
 // Time: the whole stack runs on the virtual clock, so crash timestamps are
 // sim::TimePoints regardless of backend.

@@ -437,11 +437,11 @@ bool UdpTransport::shadow_cross(ProcessId from, std::size_t to_index,
 
   // The verdict is computed synchronously in memory from the SAME encoded
   // bytes the wire will carry: the receiver sees a message decoded from
-  // `frame`, exactly as the loopback backend's wire crossing does, so
-  // protocol histories stay bit-identical across backends.  Nested
-  // crossings triggered by this delivery recurse through here and complete
-  // before we stage our own frame — FIFO per link holds because the
-  // recursion happens before this crossing touches the link.
+  // `frame`, never the sender's object, and protocol histories stay
+  // bit-identical to the sim backend.  Nested crossings triggered by this
+  // delivery recurse through here and complete before we stage our own
+  // frame — FIFO per link holds because the recursion happens before this
+  // crossing touches the link.
   MessagePtr fresh = Codec::decode(*frame);
   const bool accepted = receiver.real->on_message(from, fresh, lane);
 

@@ -1,13 +1,12 @@
 // UDP transport backend: real datagrams under the SVS stack, made reliable
 // by a link-level ack/retransmission lane (DESIGN.md §9).
 //
-// Like net::ThreadedLoopback, UdpTransport *contains* a net::Network: the
-// inner network keeps the link discipline the protocol reasons about (FIFO
-// order, propagation delay, backpressure, purgeable outgoing buffers, crash
-// semantics, fault injection), so runs stay deterministic and the
-// cross-backend equivalence suite extends to three backends.  What changes
-// is the delivery crossing: where the loopback ships an encoded frame
-// across a thread boundary, this backend ships it through the kernel as a
+// UdpTransport *contains* a net::Network: the inner network keeps the link
+// discipline the protocol reasons about (FIFO order, propagation delay,
+// backpressure, purgeable outgoing buffers, crash semantics, fault
+// injection), so runs stay deterministic and the cross-backend equivalence
+// suite pins it to the sim backend.  What changes is the delivery
+// crossing: this backend ships an encoded frame through the kernel as a
 // UDP datagram — which can be lost, duplicated or reordered — and a
 // reliable-delivery lane below the SVS layer recovers it:
 //
@@ -35,9 +34,9 @@
 //     process gets its own localhost socket and each delivery crossing is a
 //     SHADOW crossing — the verdict is computed synchronously in memory
 //     (the frame is decoded and handed to the real endpoint at crossing
-//     time, so protocol histories stay bit-identical to the sim and
-//     loopback backends), while the *same* encoded frame is batched, staged
-//     on the reliable link and shipped through the kernel asynchronously.
+//     time, so protocol histories stay bit-identical to the sim backend),
+//     while the *same* encoded frame is batched, staged on the reliable
+//     link and shipped through the kernel asynchronously.
 //     The receiver byte-verifies every arriving frame against a per-link
 //     FIFO of the frames recorded at crossing time: the lane's in-order
 //     delivery contract is checked on every run, with real loss and real
@@ -110,7 +109,7 @@ struct UdpLaneStats {
   std::uint64_t link_resets = 0;         // retry budget exhausted; peer dead
   std::uint64_t inbound_stalls = 0;      // data frames parked on a full node
   std::uint64_t zero_window_probes = 0;
-  std::uint64_t frame_encodes = 0;       // encode-once telemetry, as loopback
+  std::uint64_t frame_encodes = 0;       // encode-once telemetry (§8)
   std::uint64_t frame_reuses = 0;
   std::uint64_t frames_batched = 0;      // frames shipped in multi-frame batches
   std::uint64_t batch_flushes = 0;       // pending-batch flushes (datagrams)
@@ -493,7 +492,7 @@ class UdpTransport final : public Transport {
   };
 
   /// All-local delivery crossing: interposed at the inner network's
-  /// delivery point, like the loopback's WireAdapter.
+  /// delivery point.
   class LocalAdapter final : public Endpoint {
    public:
     LocalAdapter(UdpTransport& owner, std::size_t proc_index)

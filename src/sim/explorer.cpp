@@ -44,7 +44,6 @@ struct Scenario {
   bool reconfigure = false;
   std::uint32_t reconfigurer = 0;
   TimePoint reconfigure_at;
-  bool quiescent = true;
   bool leave = false;
   std::uint32_t leaver = 0;
   TimePoint leave_at;
@@ -169,12 +168,6 @@ Scenario make_scenario(const ScenarioSpec& spec) {
   sc.reconfigure = shape.chance(0.5);
   sc.reconfigurer = static_cast<std::uint32_t>(shape.below(sc.n));
   sc.reconfigure_at = TimePoint::origin() + sc.horizon * 9 / 20;
-  // Quiescent adaptive gossip in ~half the scenarios, the classic fixed
-  // cadence in the rest.  The draw always happens (pin or not), and it is
-  // the LAST shape draw, so pinned replays — and pre-quiescence seeds —
-  // share every other derived choice.
-  const bool quiescent_draw = shape.chance(0.5);
-  sc.quiescent = spec.quiescent_pin.value_or(quiescent_draw);
 
   // Workload: per node, a time-sorted plan of tagged multicasts within the
   // horizon.  Generated in full, then truncated to the spec's per-node
@@ -275,8 +268,7 @@ std::string summarize(const Scenario& sc) {
   if (sc.relation == RelationKind::enumeration && sc.enum_window != 0) {
     os << "(win=" << sc.enum_window << ")";
   }
-  os << (sc.quiescent ? " quiescent" : " classic")
-     << (sc.purging ? " purge" : " reliable") << " cap="
+  os << (sc.purging ? " purge" : " reliable") << " cap="
      << sc.delivery_capacity << "/" << sc.out_capacity << ' '
      << fd_flag(sc.fd) << "-fd";
   if (sc.slow_consumer) os << " slow=" << sc.slow_rate << "/s";
@@ -421,9 +413,6 @@ std::string ScenarioSpec::repro() const {
   if (relation_pin.has_value()) {
     os << " --relation=" << relation_flag(*relation_pin);
   }
-  if (quiescent_pin.has_value()) {
-    os << " --quiescent=" << (*quiescent_pin ? 1 : 0);
-  }
   if (fd_pin.has_value()) os << " --fd=" << fd_flag(*fd_pin);
   if (hostile) os << " --hostile";
   if (loss_permille != 0) os << " --loss=" << loss_permille;
@@ -473,7 +462,6 @@ ScenarioOutcome ScenarioExplorer::run(const ScenarioSpec& spec) const {
   cfg.node.relation = relation;
   cfg.node.purge_delivery_queue = sc.purging;
   cfg.node.purge_outgoing = sc.purging;
-  cfg.node.quiescent = sc.quiescent;
   cfg.node.delivery_capacity = sc.delivery_capacity;
   cfg.node.out_capacity = sc.out_capacity;
   switch (sc.fd) {
@@ -721,7 +709,6 @@ ScenarioExplorer::Exploration ScenarioExplorer::explore(
   Exploration exploration;
   exploration.spec.seed = seed;
   exploration.spec.relation_pin = options_.relation_pin;
-  exploration.spec.quiescent_pin = options_.quiescent_pin;
   exploration.spec.fd_pin = options_.fd_pin;
   exploration.spec.hostile = options_.hostile;
   exploration.spec.loss_permille = options_.loss_permille;

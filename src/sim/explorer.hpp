@@ -89,10 +89,6 @@ struct ScenarioSpec {
   /// is expected to break under hostile plans; the flag exists to exercise
   /// the checker/shrinker pipeline and must be part of the repro.
   bool hostile = false;
-  /// Overrides the seed-derived quiescent-gossip draw (~50% of scenarios
-  /// run adaptive quiescent gossip, the rest the classic fixed cadence).
-  /// Part of the repro line (`--quiescent=0|1`).
-  std::optional<bool> quiescent_pin;
   /// Overrides the seed-derived failure-detector backend (e.g. a
   /// SWIM-pinned sweep).  Part of the repro line (`--fd=`).
   std::optional<FdBackend> fd_pin;
@@ -134,9 +130,6 @@ class ScenarioExplorer {
     /// Pin every explored scenario's relation kind (svs_explore
     /// --relation=...); nullopt = seed-derived.
     std::optional<RelationKind> relation_pin;
-    /// Pin every explored scenario's gossip mode (svs_explore
-    /// --quiescent=0|1); nullopt = seed-derived (~50/50).
-    std::optional<bool> quiescent_pin;
     /// Pin every explored scenario's failure-detector backend
     /// (svs_explore --fd=oracle|heartbeat|swim); nullopt = seed-derived.
     std::optional<FdBackend> fd_pin;

@@ -198,9 +198,9 @@ void Pool::deallocate(void* p) noexcept {
     impl_->local[cls] = h;
     return;
   }
-  // Freed by a thread that does not own the block's pool (e.g. a message
-  // decoded on a wire thread, released on the protocol thread): hand it
-  // back through the owner's remote list.
+  // Freed by a thread that does not own the block's pool (an object shared
+  // across threads, released by the last holder): hand it back through the
+  // owner's remote list.
   const std::lock_guard<std::mutex> lock(owner->remote_mutex);
   h->next = owner->remote[cls];
   owner->remote[cls] = h;

@@ -11,15 +11,15 @@
 //
 //   * one Pool per thread (thread_local handle; the Pool object itself lives
 //     in a process-wide registry and is leased to threads, so blocks owned
-//     by a pool stay valid after its thread exits and short-lived wire
-//     threads reuse warmed pools instead of starting cold);
+//     by a pool stay valid after its thread exits and short-lived threads
+//     (ShardedRunner workers) reuse warmed pools instead of starting cold);
 //   * blocks are bucketed into 16-byte size classes up to kMaxPooledBytes;
 //     larger requests fall through to operator new and are counted as
 //     misses (never pooled: the tail is rare and would pin memory);
 //   * every block carries a header naming its owning pool and class.  Frees
 //     from the owning thread push onto that class's local free list with no
-//     synchronization; frees from any other thread (a message decoded on a
-//     wire thread and released on the protocol thread) push onto the
+//     synchronization; frees from any other thread (an object shared
+//     across threads and released by the last holder) push onto the
 //     owner's mutex-protected remote list, which the owner drains in bulk
 //     the next time the local list runs dry.
 //

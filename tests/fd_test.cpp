@@ -236,7 +236,9 @@ TEST(SwimDetectorTest, HealthyGroupProbesWithoutSuspicion) {
     EXPECT_GT(h.detectors[i]->counters().acks_received, 0u);
     EXPECT_EQ(h.detectors[i]->counters().suspicions, 0u);
     for (std::uint32_t j = 0; j < 4; ++j) {
-      if (i != j) EXPECT_FALSE(h.detectors[i]->suspects(net::ProcessId(j)));
+      if (i != j) {
+        EXPECT_FALSE(h.detectors[i]->suspects(net::ProcessId(j)));
+      }
     }
   }
 }
@@ -256,7 +258,9 @@ TEST(SwimDetectorTest, CrashTriggersIndirectProbesThenSuspicionThenConfirm) {
     indirect += h.detectors[i]->counters().indirect_probes_sent;
     relayed += h.detectors[i]->counters().ping_reqs_relayed;
     for (std::uint32_t j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(h.detectors[i]->suspects(net::ProcessId(j)));
+      if (i != j) {
+        EXPECT_FALSE(h.detectors[i]->suspects(net::ProcessId(j)));
+      }
     }
   }
   // The first prober to time out asked k live relays; they obliged.
@@ -335,7 +339,9 @@ TEST(SwimDetectorTest, ConfirmedMemberRecoversThroughProbeRefutation) {
   EXPECT_GE(h.detectors[2]->incarnation(), 1u);
   for (std::uint32_t i = 0; i < 3; ++i) {
     for (std::uint32_t j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_FALSE(h.detectors[i]->suspects(net::ProcessId(j)));
+      if (i != j) {
+        EXPECT_FALSE(h.detectors[i]->suspects(net::ProcessId(j)));
+      }
     }
   }
 }

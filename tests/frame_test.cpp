@@ -4,7 +4,7 @@
 // message type and annotation/payload shape — a cached frame that drifts
 // from the reference encoder would poison every receiver at once.  The
 // randomized sweep hammers that equality over seeded-random DataMessages;
-// the loopback tests pin the perf contract itself: one encode per
+// the UDP backend tests pin the perf contract itself: one encode per
 // multicast, every further destination reuses the cached frame.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "core/message.hpp"
 #include "fd/heartbeat.hpp"
 #include "net/codec.hpp"
-#include "net/loopback.hpp"
+#include "net/udp_transport.hpp"
 #include "obs/kbitmap.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -167,7 +167,7 @@ TEST(SharedFrame, IsEncodedOnceAndCachedOnTheMessage) {
 }
 
 // ---------------------------------------------------------------------------
-// loopback: one encode per multicast, reuses for every further destination
+// UDP backend: one encode per multicast, reuses for every further destination
 // ---------------------------------------------------------------------------
 
 class Recorder final : public Endpoint {
@@ -179,9 +179,19 @@ class Recorder final : public Endpoint {
   std::vector<MessagePtr> received;
 };
 
-TEST(SharedFrame, LoopbackMulticastEncodesOncePerMessage) {
+/// Drains the all-local shadow wire, then returns the lane counters.
+UdpLaneStats settle(UdpTransport& wire) {
+  const std::int64_t drain = UdpTransport::mono_us() + 10'000'000;
+  while (!wire.links_idle() && UdpTransport::mono_us() < drain) {
+    wire.service(1'000);
+  }
+  EXPECT_TRUE(wire.links_idle()) << "shadow wire failed to drain";
+  return wire.lane_stats();
+}
+
+TEST(SharedFrame, UdpMulticastEncodesOncePerMessage) {
   sim::Simulator sim;
-  ThreadedLoopback wire(sim, {});
+  UdpTransport wire(sim, {});
   Recorder a, b, c, d;
   wire.attach(ProcessId(0), a);
   wire.attach(ProcessId(1), b);
@@ -199,16 +209,17 @@ TEST(SharedFrame, LoopbackMulticastEncodesOncePerMessage) {
   sim.run();
 
   // 3 destinations per multicast (self-delivery is local): one encode, two
-  // frame reuses each.
+  // frame reuses each, and every crossing's frame reached the kernel.
   EXPECT_EQ(b.received.size(), static_cast<std::size_t>(kMessages));
-  EXPECT_EQ(wire.frame_encodes(), static_cast<std::uint64_t>(kMessages));
-  EXPECT_EQ(wire.frame_reuses(), static_cast<std::uint64_t>(2 * kMessages));
-  EXPECT_EQ(wire.wire_frames(), wire.frame_encodes() + wire.frame_reuses());
+  const UdpLaneStats lane = settle(wire);
+  EXPECT_EQ(lane.frame_encodes, static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(lane.frame_reuses, static_cast<std::uint64_t>(2 * kMessages));
+  EXPECT_EQ(lane.frames_delivered, lane.frame_encodes + lane.frame_reuses);
 }
 
-TEST(SharedFrame, LoopbackUnicastStillEncodesPerFreshMessage) {
+TEST(SharedFrame, UdpUnicastStillEncodesPerFreshMessage) {
   sim::Simulator sim;
-  ThreadedLoopback wire(sim, {});
+  UdpTransport wire(sim, {});
   Recorder a, b;
   wire.attach(ProcessId(0), a);
   wire.attach(ProcessId(1), b);
@@ -221,8 +232,9 @@ TEST(SharedFrame, LoopbackUnicastStillEncodesPerFreshMessage) {
   }
   sim.run();
   EXPECT_EQ(b.received.size(), 10u);
-  EXPECT_EQ(wire.frame_encodes(), 10u);
-  EXPECT_EQ(wire.frame_reuses(), 0u);
+  const UdpLaneStats lane = settle(wire);
+  EXPECT_EQ(lane.frame_encodes, 10u);
+  EXPECT_EQ(lane.frame_reuses, 0u);
 }
 
 }  // namespace

@@ -430,8 +430,8 @@ TEST(NetPurgeEquivalence, WindowedMatchesFullScanRandomized) {
     const auto removed_windowed = net_a.purge_outgoing_window(
         ProcessId(0), ProcessId(1), floor_key, below_key,
         [&](const MessagePtr& m) { return is_victim[tag_of(m)]; });
-    const auto removed_full = net_b.purge_outgoing_to(
-        ProcessId(0), ProcessId(1), [&](const MessagePtr& m) {
+    const auto removed_full = net_b.purge_outgoing(
+        ProcessId(0), [&](const MessagePtr& m) {
           const auto key = static_cast<std::uint64_t>(tag_of(m));
           return key >= floor_key && key < below_key && is_victim[tag_of(m)];
         });

@@ -778,82 +778,63 @@ TEST(Node, FlushSafeWhenClippedRepresentationBreaksTransitivity) {
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{2, 4, 5}));
 }
 
-TEST(Node, QuiescentGossipGoesSilentAfterConvergenceAtEqualLatency) {
-  // The same burst, quiescent and classic.  Both modes must collect the
-  // retained history within the same convergence window; afterwards the
-  // quiescent group falls fully silent while the classic cadence keeps
-  // paying one report per member per interval forever.
-  struct ModeResult {
-    sim::Duration convergence = sim::Duration::zero();
-    std::uint64_t idle_sends = 0;
-    std::uint64_t suppressed = 0;
-    std::uint64_t heartbeats = 0;
-    std::uint64_t piggybacks = 0;
-    bool converged = false;
+TEST(Node, QuiescentGossipCollectsPromptlyThenGoesSilent) {
+  // A 10-message burst, then silence.  The clock starts only once every
+  // member has delivered the whole burst: before that the delivered
+  // history is empty and trivially "collected".  Collection must finish
+  // within 101 ms of virtual time, the figure the retired fixed-cadence
+  // gossip (one round per member per interval) needed for this burst;
+  // quiescent gossip needs about half.  Afterwards the converged group
+  // falls fully silent: no gossip, no heartbeats, the timer itself parks.
+  sim::Simulator sim;
+  Group g(sim, base_config(std::make_shared<obs::EmptyRelation>()));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        g.node(0).multicast(blob(i), obs::Annotation::none()).has_value());
+  }
+  const auto burst_delivered = [](const Node& node) {
+    return node.stats().delivered_data == 10;
   };
-  const auto run_mode = [](bool quiescent) {
-    ModeResult out;
-    sim::Simulator sim;
-    auto cfg = base_config(std::make_shared<obs::EmptyRelation>());
-    cfg.node.quiescent = quiescent;
-    Group g(sim, cfg);
-    for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(
-          g.node(0).multicast(blob(i), obs::Annotation::none()).has_value());
+  const auto collected = [](const Node& node) {
+    return node.delivered_retained() == 0 &&
+           node.stability_ledger().own_debts() == 0 &&
+           node.stability_ledger().merged_debts() == 0;
+  };
+  const auto everywhere = [&g](const auto& holds) {
+    for (std::size_t n = 0; n < 3; ++n) {
+      if (!holds(g.node(n))) return false;
     }
-    const auto all_collected = [&g] {
-      for (std::size_t n = 0; n < 3; ++n) {
-        const auto& ledger = g.node(n).stability_ledger();
-        if (g.node(n).delivered_retained() != 0 || ledger.own_debts() != 0 ||
-            ledger.merged_debts() != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-    const auto start = sim.now();
-    const auto deadline = start + sim::Duration::seconds(10.0);
-    while (!all_collected() && sim.now() < deadline) {
-      sim.run_until(sim.now() + sim::Duration::millis(10));
+    return true;
+  };
+  // Advances in 1 ms steps, every member consuming as it goes.
+  const auto run_until_everywhere = [&](const auto& holds) {
+    const auto deadline = sim.now() + sim::Duration::seconds(10.0);
+    while (!everywhere(holds) && sim.now() < deadline) {
+      sim.run_until(sim.now() + sim::Duration::millis(1));
       for (std::size_t n = 0; n < 3; ++n) g.drain(n);
     }
-    out.converged = all_collected();
-    out.convergence = sim.now() - start;
-    // Let the residual rounds settle (the trackers exchange their last
-    // frontier moves for a few intervals after the group-level predicate
-    // turns true), then measure ten virtual seconds of pure idleness.
-    sim.run_until(sim.now() + sim::Duration::seconds(2.0));
-    const std::uint64_t sends_before = g.network().stats().sent;
-    sim.run_until(sim.now() + sim::Duration::seconds(10.0));
-    out.idle_sends = g.network().stats().sent - sends_before;
-    for (std::size_t n = 0; n < 3; ++n) {
-      const auto& stats = g.node(n).stats();
-      out.suppressed += stats.gossip_rounds_suppressed;
-      out.heartbeats += stats.gossip_heartbeats;
-      out.piggybacks += stats.frontier_piggybacks;
-    }
-    return out;
+    return everywhere(holds);
   };
+  ASSERT_TRUE(run_until_everywhere(burst_delivered));
+  ASSERT_FALSE(everywhere(collected)) << "the clock must start before it";
+  const auto start = sim.now();
+  ASSERT_TRUE(run_until_everywhere(collected))
+      << "quiescent gossip failed to collect";
+  EXPECT_LE((sim.now() - start).as_micros(), 101'000);
 
-  const ModeResult quiet = run_mode(true);
-  const ModeResult classic = run_mode(false);
-  ASSERT_TRUE(quiet.converged) << "quiescent mode failed to collect";
-  ASSERT_TRUE(classic.converged) << "classic mode failed to collect";
-
-  // Convergence latency unchanged: quiescence may only skip rounds that
-  // carry no information, so it must not lag the fixed cadence by more
-  // than one stability interval of measurement grain.
-  EXPECT_LE(quiet.convergence.as_micros(),
-            classic.convergence.as_micros() + 50'000);
-
-  // Converged quiescent group: total silence (no gossip, no heartbeats —
-  // the timer itself parks).  Classic: three members ticking every 50ms
-  // for 10s, forever.
-  EXPECT_EQ(quiet.idle_sends, 0u) << "a converged group must stop gossiping";
-  EXPECT_GT(classic.idle_sends, 100u);
-  EXPECT_GT(quiet.piggybacks, 0u) << "no frontier rode the data burst";
-  EXPECT_EQ(classic.suppressed, 0u) << "classic mode must never suppress";
-  EXPECT_EQ(classic.heartbeats, 0u);
+  // Let the residual rounds settle (the trackers exchange their last
+  // frontier moves for a few intervals after the group-level predicate
+  // turns true), then measure ten virtual seconds of pure idleness.
+  sim.run_until(sim.now() + sim::Duration::seconds(2.0));
+  const std::uint64_t sends_before = g.network().stats().sent;
+  sim.run_until(sim.now() + sim::Duration::seconds(10.0));
+  EXPECT_EQ(g.network().stats().sent, sends_before)
+      << "a converged group must stop gossiping";
+  std::uint64_t piggybacks = 0;
+  for (std::size_t n = 0; n < 3; ++n) {
+    piggybacks += g.node(n).stats().frontier_piggybacks;
+  }
+  EXPECT_GT(piggybacks, 0u) << "no frontier rode the data burst";
 }
 
 TEST(Node, QuiescentHeartbeatsAreBudgetedWhenCollectionIsStuck) {
@@ -866,7 +847,6 @@ TEST(Node, QuiescentHeartbeatsAreBudgetedWhenCollectionIsStuck) {
   sim::Simulator sim;
   auto cfg = base_config(std::make_shared<obs::EmptyRelation>());
   cfg.node.stability_interval = sim::Duration::millis(20);
-  cfg.node.quiescent = true;
   cfg.auto_membership = false;  // keep the dead member in the view
   Group g(sim, cfg);
   g.node(1).set_deliverable_callback([&g] { g.drain(1); });

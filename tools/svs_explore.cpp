@@ -21,11 +21,6 @@
 //                                           # loss (in-model: repaired by
 //                                           # retransmission) to every
 //                                           # scenario
-//   svs_explore --seeds=500 --quiescent=1   # pin every scenario to
-//                                           # quiescent adaptive gossip
-//                                           # (0 = classic fixed cadence;
-//                                           # unpinned scenarios draw
-//                                           # ~50/50)
 //   svs_explore --seeds=500 --fd=swim       # pin every scenario's failure
 //                                           # detector backend (also:
 //                                           # oracle, heartbeat; unpinned
@@ -54,7 +49,6 @@ struct CliOptions {
   std::uint64_t fault_mask = ~0ULL;
   std::uint32_t message_limit = svs::sim::ScenarioSpec::kNoLimit;
   std::optional<svs::sim::RelationKind> relation_pin;
-  std::optional<bool> quiescent_pin;
   std::optional<svs::sim::FdBackend> fd_pin;
   std::uint32_t loss_permille = 0;
   bool hostile = false;
@@ -89,7 +83,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--seeds=N] [--seed-start=S] | [--seed=N [--faults=0xMASK] "
-      "[--msgs=K]] [--relation=reliable|item|kenum|enum] [--quiescent=0|1] "
+      "[--msgs=K]] [--relation=reliable|item|kenum|enum] "
       "[--fd=oracle|heartbeat|swim] [--loss=PERMILLE] [--hostile] [--quiet] "
       "[--failures-file=PATH]\n",
       argv0);
@@ -119,14 +113,6 @@ bool parse(int argc, char** argv, CliOptions& options) {
       options.message_limit = static_cast<std::uint32_t>(limit);
     } else if (parse_flag(arg, "--relation", &value)) {
       if (!parse_relation(value, options.relation_pin)) return false;
-    } else if (parse_flag(arg, "--quiescent", &value)) {
-      if (std::strcmp(value, "0") == 0) {
-        options.quiescent_pin = false;
-      } else if (std::strcmp(value, "1") == 0) {
-        options.quiescent_pin = true;
-      } else {
-        return false;
-      }
     } else if (parse_flag(arg, "--fd", &value)) {
       // Shared flag table (sim::fd_flag), so repro lines round-trip.
       const auto backend = svs::sim::fd_from_flag(value);
@@ -173,14 +159,12 @@ int run_single(const CliOptions& options) {
   svs::sim::ScenarioExplorer::Options explorer_options;
   explorer_options.hostile = options.hostile;
   explorer_options.relation_pin = options.relation_pin;
-  explorer_options.quiescent_pin = options.quiescent_pin;
   explorer_options.fd_pin = options.fd_pin;
   explorer_options.loss_permille = options.loss_permille;
   svs::sim::ScenarioExplorer explorer(explorer_options);
   svs::sim::ScenarioSpec spec;
   spec.seed = options.seed;
   spec.relation_pin = options.relation_pin;
-  spec.quiescent_pin = options.quiescent_pin;
   spec.fd_pin = options.fd_pin;
   spec.fault_mask = options.fault_mask;
   spec.message_limit = options.message_limit;
@@ -205,7 +189,6 @@ int run_sweep(const CliOptions& options) {
   svs::sim::ScenarioExplorer::Options explorer_options;
   explorer_options.hostile = options.hostile;
   explorer_options.relation_pin = options.relation_pin;
-  explorer_options.quiescent_pin = options.quiescent_pin;
   explorer_options.fd_pin = options.fd_pin;
   explorer_options.loss_permille = options.loss_permille;
   svs::sim::ScenarioExplorer explorer(explorer_options);

@@ -224,34 +224,43 @@ bool write_metrics(const Metrics& m) {
 
 /// The introducer flow.  Returns the full roster (id -> port), or empty on
 /// signal/timeout.  The introducer keeps answering late JOINs through this
-/// same handler for the rest of the run (`handler stays installed`).
+/// same handler for the rest of the run (`handler stays installed`), so
+/// the handler owns a share of the roster state: a JOIN retry arriving
+/// after this function returned must not write into its dead frame.
 std::map<std::uint32_t, std::uint16_t> run_join_flow(
     svs::net::UdpTransport& transport, const CliOptions& options) {
   using svs::net::Datagram;
-  std::map<std::uint32_t, std::uint16_t> roster;
-  bool roster_complete = false;
+  struct JoinState {
+    std::map<std::uint32_t, std::uint16_t> roster;
+    bool complete = false;
+  };
+  const auto state = std::make_shared<JoinState>();
+  auto& roster = state->roster;
+  const bool& roster_complete = state->complete;
 
   if (options.id == 0) {
     roster[0] = transport.local_port(svs::net::ProcessId(0));
-    transport.set_stray_datagram_handler([&](const Datagram& d) {
+    transport.set_stray_datagram_handler([state, &transport,
+                                          n = options.n](const Datagram& d) {
       if (d.kind != Datagram::Kind::join) return;
-      roster[d.join_id] = d.join_port;
-      if (roster.size() < options.n) return;
-      roster_complete = true;
+      state->roster[d.join_id] = d.join_port;
+      if (state->roster.size() < n) return;
+      state->complete = true;
       // Answer *every* join once complete: lost rosters get repaired by
       // the joiner's retry, late joiners get re-sent the list mid-run.
       const svs::util::Bytes bytes = Datagram::encode_roster(
-          {roster.begin(), roster.end()});
+          {state->roster.begin(), state->roster.end()});
       auto& socket = transport.socket_of(svs::net::ProcessId(0));
-      for (const auto& [id, port] : roster) {
+      for (const auto& [id, port] : state->roster) {
         if (id != 0) (void)socket.send_to(port, bytes.data(), bytes.size());
       }
     });
   } else {
-    transport.set_stray_datagram_handler([&](const Datagram& d) {
-      if (d.kind != Datagram::Kind::roster || roster_complete) return;
-      for (const auto& [id, port] : d.roster) roster[id] = port;
-      roster_complete = roster.size() == options.n;
+    transport.set_stray_datagram_handler([state,
+                                          n = options.n](const Datagram& d) {
+      if (d.kind != Datagram::Kind::roster || state->complete) return;
+      for (const auto& [id, port] : d.roster) state->roster[id] = port;
+      state->complete = state->roster.size() == n;
     });
   }
 
