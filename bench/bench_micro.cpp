@@ -779,25 +779,6 @@ int main(int argc, char** argv) {
   }
   payload.raw("large_group", large_group.render())
       .add("wall_seconds", wall.seconds());
-  // Process-wide suppression/batching telemetry across everything above.
-  const svs::metrics::Stats counters = svs::metrics::Stats::snapshot();
-  payload.raw("runtime_counters",
-              svs::bench::JsonObject()
-                  .add("gossip_rounds_suppressed",
-                       static_cast<double>(counters.gossip_rounds_suppressed))
-                  .add("frontier_piggybacks",
-                       static_cast<double>(counters.frontier_piggybacks))
-                  .add("frames_batched",
-                       static_cast<double>(counters.frames_batched))
-                  .add("batch_flushes",
-                       static_cast<double>(counters.batch_flushes))
-                  .add("syscalls_sent",
-                       static_cast<double>(counters.syscalls_sent))
-                  .add("syscalls_recvd",
-                       static_cast<double>(counters.syscalls_recvd))
-                  .add("wheel_cascades",
-                       static_cast<double>(counters.wheel_cascades))
-                  .render());
   svs::bench::write_bench_json("micro", payload);
   return 0;
 }

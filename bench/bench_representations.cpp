@@ -153,8 +153,8 @@ BENCHMARK(BM_Annotation_EncodeDecode);
 
 /// The §4.2 wire-size comparison over a realistic commit stream, as JSON.
 /// Measured: every annotation is actually encoded and the buffer length
-/// counted (the codec asserts wire_size() equals it, so the two agree by
-/// contract).
+/// counted (obs_test pins Annotation::wire_size() to that length, so the
+/// two agree).
 svs::bench::JsonObject annotation_sizes() {
   obs::BatchComposer kenum({obs::AnnotationKind::k_enum, 64, 0});
   obs::BatchComposer enumeration({obs::AnnotationKind::enumeration, 0, 128});
@@ -223,20 +223,20 @@ svs::bench::JsonObject measured_message_bytes() {
 /// bytes counted on the actual buffers.  This is the price of making
 /// purges wire facts — what the unified GC costs the control lane.
 svs::bench::JsonObject stability_debt_bytes() {
-  const core::StabilityMessage::Seen seen{{net::ProcessId(0), 900},
-                                          {net::ProcessId(1), 850},
-                                          {net::ProcessId(2), 910},
-                                          {net::ProcessId(3), 899}};
+  const core::StabilityReport::Seen seen{{net::ProcessId(0), 900},
+                                         {net::ProcessId(1), 850},
+                                         {net::ProcessId(2), 910},
+                                         {net::ProcessId(3), 899}};
   svs::bench::JsonArray rows;
   for (const std::size_t debts : {0u, 2u, 8u, 32u, 128u}) {
-    core::StabilityMessage::Debts ledger;
+    core::StabilityReport::Debts ledger;
     ledger.reserve(debts);
     // Realistic shape: purged seqs trail the frontier, covers a few ahead.
     for (std::size_t i = 0; i < debts; ++i) {
       const std::uint64_t seq = 700 + i * 3;
       ledger.push_back(core::PurgeDebt{seq, seq + 2 + i % 5});
     }
-    const core::StabilityMessage m(core::ViewId(3), 640, seen, ledger);
+    const core::StabilityMessage m(core::ViewId(3), 640, {seen, ledger});
     const util::Bytes frame = net::Codec::encode(m);
     rows.push(svs::bench::JsonObject()
                   .add("debt_entries", static_cast<double>(debts))
@@ -246,7 +246,7 @@ svs::bench::JsonObject stability_debt_bytes() {
                                   : static_cast<double>(
                                         frame.size() -
                                         core::StabilityMessage(
-                                            core::ViewId(3), 640, seen, {})
+                                            core::ViewId(3), 640, {seen, {}})
                                             .wire_size()) /
                                         static_cast<double>(debts)));
   }

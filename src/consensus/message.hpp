@@ -5,7 +5,6 @@
 
 #include "consensus/value.hpp"
 #include "net/message.hpp"
-#include "util/bytes.hpp"
 #include "util/strong_id.hpp"
 
 namespace svs::consensus {
@@ -44,21 +43,6 @@ class ConsensusMessage final : public net::Message {
   [[nodiscard]] Phase phase() const { return phase_; }
   [[nodiscard]] const ValuePtr& value() const { return value_; }
   [[nodiscard]] Round timestamp() const { return timestamp_; }
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    // Exactly what the codec writes: tag + instance + round + phase +
-    // timestamp + presence flag, then (if present) the value framing
-    // (kind + length varints) and the value body.
-    std::size_t n = 1 + util::varint_size(instance_.value()) +
-                    util::varint_size(round_) + 1 +
-                    util::varint_size(timestamp_) + 1;
-    if (value_ != nullptr) {
-      const std::size_t body = value_->wire_size();
-      n += util::varint_size(value_->value_kind()) + util::varint_size(body) +
-           body;
-    }
-    return n;
-  }
 
  private:
   InstanceId instance_;

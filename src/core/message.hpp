@@ -65,39 +65,81 @@ struct PurgeDebt {
   friend bool operator==(const PurgeDebt&, const PurgeDebt&) = default;
 };
 
-/// Exact encoded size of one (seq, cover_seq) debt entry — the same
-/// arithmetic the codec writes (seq, then the positive cover gap).
+/// Exact encoded sizes of one debt entry (seq, then the positive cover
+/// gap), one frontier entry, and a report section from its aggregates.
+/// Messages are not sized with these — wire_size() runs the encoder — they
+/// price report bytes no single encode yields: the full snapshot a delta
+/// gossip round avoided (gossip_bytes_saved, from aggregates StabilityLedger
+/// keeps incrementally) and the debt bytes a round shipped
+/// (NodeStats::debt_bytes_gossiped).  codec_test pins them to the encoder.
 [[nodiscard]] inline std::size_t purge_debt_wire_size(const PurgeDebt& debt) {
   return util::varint_size(debt.seq) +
          util::varint_size(debt.cover_seq - debt.seq);
 }
 
-/// Optional stability section piggybacked on an outgoing DATA message: the
-/// sender's covered frontiers (delta since its last gossip/piggyback), its
-/// per-view anchor, and any small own-debt deltas.  A group under traffic
-/// spreads stability knowledge through these sections, so the standalone
-/// gossip lane can stay quiescent (DESIGN.md §10).  Same merge semantics as
-/// a StabilityMessage for the same view — merging is idempotent and
-/// commutative, so piggyback-vs-gossip arrival order never matters.
-struct StabilityPiggyback {
+[[nodiscard]] inline std::size_t frontier_entry_wire_size(
+    net::ProcessId sender, std::uint64_t frontier) {
+  return util::varint_size(sender.value()) + util::varint_size(frontier);
+}
+
+[[nodiscard]] inline std::size_t report_wire_size(std::size_t entries,
+                                                  std::size_t entry_bytes,
+                                                  std::size_t debts,
+                                                  std::size_t debt_bytes) {
+  return util::varint_size(entries) + entry_bytes + util::varint_size(debts) +
+         debt_bytes;
+}
+
+/// A member's stability report (§2.1, DESIGN.md §3/§7) — the one section
+/// every stability carrier ships: a gossip round (StabilityMessage), a
+/// piggyback on DATA (StabilityPiggyback) and a relayed digest row
+/// (StabilityDigestMessage::Row).  Each carrier adds only its own header.
+///
+///   * `seen` — per-sender *covered frontiers*: the largest seq below which
+///     every message of that channel is provably received here or purged
+///     with a received cover (the StabilityLedger reconstructs this from
+///     its exact reception set plus the merged debts).  A message is stable
+///     once every member's frontier passed it;
+///   * `debts` — delta (or, on full rounds, the complete current set) of
+///     the reporting member's own purge debts, strictly ascending by seq.
+///
+/// Merging a report is idempotent and commutative (per-entry max, debt
+/// union), so the carrier and the arrival order never matter.
+struct StabilityReport {
   using Seen = std::vector<std::pair<net::ProcessId, std::uint64_t>>;
   using Debts = std::vector<PurgeDebt>;
 
-  std::uint64_t anchor = 0;
   Seen seen;
   Debts debts;
 
-  /// Exact encoded size of the section body (excludes the presence byte),
-  /// the same arithmetic the codec writes.
-  [[nodiscard]] std::size_t wire_size() const {
-    std::size_t n = util::varint_size(anchor) + util::varint_size(seen.size());
-    for (const auto& [sender, seq] : seen) {
-      n += util::varint_size(sender.value()) + util::varint_size(seq);
-    }
-    n += util::varint_size(debts.size());
-    for (const auto& debt : debts) n += purge_debt_wire_size(debt);
-    return n;
+  friend bool operator==(const StabilityReport&,
+                         const StabilityReport&) = default;
+};
+
+/// Exact encoded size of `report`'s section (report_wire_size above,
+/// summed entry by entry).
+[[nodiscard]] inline std::size_t report_wire_size(
+    const StabilityReport& report) {
+  std::size_t entry_bytes = 0;
+  for (const auto& [sender, frontier] : report.seen) {
+    entry_bytes += frontier_entry_wire_size(sender, frontier);
   }
+  std::size_t debt_bytes = 0;
+  for (const auto& debt : report.debts) {
+    debt_bytes += purge_debt_wire_size(debt);
+  }
+  return report_wire_size(report.seen.size(), entry_bytes,
+                          report.debts.size(), debt_bytes);
+}
+
+/// Optional stability section piggybacked on an outgoing DATA message: the
+/// sender's per-view anchor and its report delta since its last gossip or
+/// piggyback.  A group under traffic spreads stability knowledge through
+/// these sections, so the standalone gossip lane can stay quiescent
+/// (DESIGN.md §10).
+struct StabilityPiggyback {
+  std::uint64_t anchor = 0;
+  StabilityReport report;
 
   friend bool operator==(const StabilityPiggyback&,
                          const StabilityPiggyback&) = default;
@@ -143,8 +185,6 @@ class DataMessage final : public net::Message {
     piggyback_ = std::move(piggyback);
   }
 
-  [[nodiscard]] std::size_t compute_wire_size() const override;
-
  private:
   net::ProcessId sender_;
   std::uint64_t seq_;
@@ -169,14 +209,6 @@ class InitMessage final : public net::Message {
     return leave_;
   }
 
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    // tag + view + count + member ids (varints), as the codec encodes it.
-    std::size_t n = 1 + util::varint_size(view_.value()) +
-                    util::varint_size(leave_.size());
-    for (const auto p : leave_) n += util::varint_size(p.value());
-    return n;
-  }
-
  private:
   ViewId view_;
   std::vector<net::ProcessId> leave_;
@@ -197,112 +229,45 @@ class PredMessage final : public net::Message {
     return accepted_;
   }
 
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    // tag + view + count, then each accepted message as a full (tagged)
-    // data-message encoding — nested messages are self-delimiting.
-    std::size_t n = 1 + util::varint_size(view_.value()) +
-                    util::varint_size(accepted_.size());
-    for (const auto& m : accepted_) n += m->wire_size();
-    return n;
-  }
-
  private:
   ViewId view_;
   std::vector<DataMessagePtr> accepted_;
 };
 
-/// Periodic stability gossip (§2.1), extended with the purge-debt ledger
-/// sections that make mark-based GC sound under sender-side purging for
-/// every relation (DESIGN.md §3/§7):
-///
-///   * `seen` — per-sender *covered frontiers*: the largest seq below which
-///     every message of that channel is provably received here or purged
-///     with a received cover (the StabilityLedger reconstructs this from
-///     its exact reception set plus the merged debts).  A message is stable
-///     once every member's frontier passed it;
-///   * `anchor` — the seq just below the gossiping process's first
-///     multicast of this view (its own channel's per-view epoch start;
-///     receivers anchor the frontier there, so a purged *first* message of
-///     the view is still accounted);
-///   * `debts` — delta (or, on full rounds, the complete current set) of
-///     the gossiping process's own purge debts, sorted by seq.
-///
-/// Nodes exchange these so the stable prefix of the delivered history can
-/// be garbage-collected — which is also what keeps the PRED messages and
-/// the agreed pred-view small.
+/// Periodic stability gossip (§2.1): a member's report (StabilityReport)
+/// for view `view`, headed by its `anchor` — the seq just below its first
+/// multicast of the view (its own channel's per-view epoch start;
+/// receivers anchor the frontier there, so a purged *first* message of the
+/// view is still accounted).  Nodes exchange these so the stable prefix of
+/// the delivered history can be garbage-collected — which is also what
+/// keeps the PRED messages and the agreed pred-view small.
 class StabilityMessage final : public net::Message {
  public:
-  using Seen = StabilityPiggyback::Seen;
-  using Debts = StabilityPiggyback::Debts;
-
-  StabilityMessage(ViewId view, std::uint64_t anchor, Seen seen, Debts debts)
+  StabilityMessage(ViewId view, std::uint64_t anchor, StabilityReport report)
       : net::Message(net::MessageType::stability),
         view_(view),
         anchor_(anchor),
-        seen_(std::move(seen)),
-        debts_(std::move(debts)) {}
+        report_(std::move(report)) {}
 
   [[nodiscard]] ViewId view() const { return view_; }
   [[nodiscard]] std::uint64_t anchor() const { return anchor_; }
-  [[nodiscard]] const Seen& seen() const { return seen_; }
-  [[nodiscard]] const Debts& debts() const { return debts_; }
-
-  /// Exact encoded size of one (seq, cover_seq) debt entry — the same
-  /// arithmetic the codec writes (seq, then the positive cover gap).
-  [[nodiscard]] static std::size_t debt_wire_size(const PurgeDebt& debt) {
-    return purge_debt_wire_size(debt);
-  }
-
-  /// Exact encoded size of a stability message — the same arithmetic the
-  /// codec writes.
-  [[nodiscard]] static std::size_t wire_size_for(ViewId view,
-                                                 std::uint64_t anchor,
-                                                 const Seen& seen,
-                                                 const Debts& debts) {
-    std::size_t entry_bytes = 0;
-    for (const auto& [sender, seq] : seen) {
-      entry_bytes += util::varint_size(sender.value()) +
-                     util::varint_size(seq);
-    }
-    std::size_t debt_bytes = 0;
-    for (const auto& debt : debts) debt_bytes += debt_wire_size(debt);
-    return wire_size_for_entries(view, anchor, seen.size(), entry_bytes,
-                                 debts.size(), debt_bytes);
-  }
-
-  /// As wire_size_for, from pre-aggregated entry stats — lets the
-  /// delta-gossip savings credit (Node::gossip_stability) price the full
-  /// snapshot it avoided sending without materializing it (the
-  /// StabilityLedger maintains entry_wire_bytes/debt_wire_bytes
-  /// incrementally).
-  [[nodiscard]] static std::size_t wire_size_for_entries(
-      ViewId view, std::uint64_t anchor, std::size_t entries,
-      std::size_t entry_bytes, std::size_t debts, std::size_t debt_bytes) {
-    return 1 + util::varint_size(view.value()) + util::varint_size(anchor) +
-           util::varint_size(entries) + entry_bytes +
-           util::varint_size(debts) + debt_bytes;
-  }
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    return wire_size_for(view_, anchor_, seen_, debts_);
-  }
+  [[nodiscard]] const StabilityReport& report() const { return report_; }
 
  private:
   ViewId view_;
   std::uint64_t anchor_;
-  Seen seen_;
-  Debts debts_;
+  StabilityReport report_;
 };
 
 /// Ring-aggregated stability digest (DESIGN.md §11).  At scale the
 /// all-to-all stability gossip is replaced by round-robin aggregation: each
 /// round a member ships its best-known per-origin stability rows to O(1)
 /// successors on a deterministic ring.  A row is exactly the content of the
-/// origin's own stability round — its per-view anchor (when known here),
-/// its covered-frontier report and its own purge debts — so a receiver
-/// merges each row as if the origin's gossip had arrived directly.  All row
-/// merges are idempotent, commutative max/union operations, which is what
-/// makes multi-hop relaying sound regardless of arrival order.
+/// origin's own stability round — its per-view anchor (when known here)
+/// and its report — so a receiver merges each row as if the origin's gossip
+/// had arrived directly.  All row merges are idempotent, commutative
+/// max/union operations, which is what makes multi-hop relaying sound
+/// regardless of arrival order.
 class StabilityDigestMessage final : public net::Message {
  public:
   /// One origin's stability round as best known by the relayer.  The
@@ -311,22 +276,7 @@ class StabilityDigestMessage final : public net::Message {
   struct Row {
     net::ProcessId origin;
     std::optional<std::uint64_t> anchor;
-    StabilityMessage::Seen seen;
-    StabilityMessage::Debts debts;
-
-    [[nodiscard]] std::size_t wire_size() const {
-      // origin + presence byte [+ anchor] + seen section + debt section,
-      // the same arithmetic the codec writes.
-      std::size_t n = util::varint_size(origin.value()) + 1;
-      if (anchor.has_value()) n += util::varint_size(*anchor);
-      n += util::varint_size(seen.size());
-      for (const auto& [sender, seq] : seen) {
-        n += util::varint_size(sender.value()) + util::varint_size(seq);
-      }
-      n += util::varint_size(debts.size());
-      for (const auto& debt : debts) n += purge_debt_wire_size(debt);
-      return n;
-    }
+    StabilityReport report;
 
     friend bool operator==(const Row&, const Row&) = default;
   };
@@ -339,13 +289,6 @@ class StabilityDigestMessage final : public net::Message {
 
   [[nodiscard]] ViewId view() const { return view_; }
   [[nodiscard]] const Rows& rows() const { return rows_; }
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    std::size_t n = 1 + util::varint_size(view_.value()) +
-                    util::varint_size(rows_.size());
-    for (const auto& row : rows_) n += row.wire_size();
-    return n;
-  }
 
  private:
   ViewId view_;

@@ -3,11 +3,33 @@
 #include <algorithm>
 #include <utility>
 
-#include "metrics/stats.hpp"
 #include "util/pool.hpp"
 
 namespace svs::core {
 namespace {
+
+// Quiescent-gossip ladder (DESIGN.md §10): clean rounds between heartbeats
+// while unconverged, and consecutive no-progress heartbeats before the
+// gossip timer parks.
+constexpr std::uint64_t kSilentRoundPeriod = 4;
+constexpr std::uint64_t kHeartbeatBudget = 8;
+
+// Ring-aggregated stability digests (DESIGN.md §11): views of at least
+// kDigestRingThreshold members ship per-origin digest rows to
+// kDigestRingFanout deterministic ring successors instead of multicasting
+// an all-to-all StabilityMessage — O(fanout) control messages per member
+// per round instead of O(n).  Smaller views (every golden) stay all-to-all.
+constexpr std::size_t kDigestRingThreshold = 16;
+constexpr std::size_t kDigestRingFanout = 2;
+
+// How long a view change waits for the PREDs of *suspected* members before
+// proposing without them (DESIGN.md §11).  A live member that was falsely
+// suspected answers within one round trip; folding its PRED in keeps it in
+// the next view and brings the covers of its sender-side purges into the
+// agreed pred-view — without them a receiver that delivered past a purged
+// gap closes the view with the gap uncovered (FIFO-SR clause (ii)).  A
+// crashed member stays silent and costs the change at most this long.
+constexpr sim::Duration kPredGrace = sim::Duration::millis(30);
 
 /// splitmix64 finalizer — the same seed-free mixing the runtime::HashRing
 /// placement uses, so the digest ring's member order is deterministic
@@ -53,11 +75,7 @@ Node::Node(sim::Simulator& simulator, net::Transport& network,
 // digest ring (DESIGN.md §11)
 // ---------------------------------------------------------------------------
 
-bool Node::ring_mode() const {
-  return config_.digest_ring_threshold != 0 &&
-         config_.digest_ring_fanout != 0 &&
-         view_.size() >= config_.digest_ring_threshold;
-}
+bool Node::ring_mode() const { return view_.size() >= kDigestRingThreshold; }
 
 void Node::compute_ring_successors() {
   ring_successors_.clear();
@@ -78,8 +96,7 @@ void Node::compute_ring_successors() {
   SVS_ASSERT(self_pos != ring.end(), "this node is in its own view");
   const std::size_t start =
       static_cast<std::size_t>(self_pos - ring.begin());
-  const std::size_t fanout =
-      std::min(config_.digest_ring_fanout, ring.size() - 1);
+  const std::size_t fanout = std::min(kDigestRingFanout, ring.size() - 1);
   ring_successors_.reserve(fanout);
   for (std::size_t i = 1; i <= fanout; ++i) {
     ring_successors_.push_back(ring[(start + i) % ring.size()]);
@@ -93,23 +110,20 @@ StabilityDigestMessage::Row Node::make_relay_row(net::ProcessId origin) const {
   const auto& reports = stability_.peer_reports();
   const auto report = reports.find(origin);
   if (report != reports.end()) {
-    row.seen.reserve(report->second.size());
-    for (const auto& [sender, seq] : report->second) {
-      row.seen.emplace_back(sender, seq);
-    }
+    row.report.seen.assign(report->second.begin(), report->second.end());
   }
   const auto debts = relay_debts_.find(origin);
   if (debts != relay_debts_.end()) {
-    row.debts.reserve(debts->second.size());
+    row.report.debts.reserve(debts->second.size());
     for (const auto& [seq, cover] : debts->second) {
-      row.debts.push_back(PurgeDebt{seq, cover});
+      row.report.debts.push_back(PurgeDebt{seq, cover});
     }
   }
   return row;
 }
 
 void Node::retain_relay_debts(net::ProcessId origin,
-                              const StabilityMessage::Debts& debts) {
+                              const StabilityReport::Debts& debts) {
   if (debts.empty()) return;
   auto& retained = relay_debts_[origin];
   for (const auto& debt : debts) {
@@ -125,16 +139,11 @@ void Node::handle_stability_digest(
   bool any_news = false;
   for (const auto& row : m->rows()) {
     if (row.origin == self_) continue;  // nobody relays our state to us
-    // Each row merges exactly like the origin's own gossip round would —
-    // idempotent, commutative max/union merges, so multi-hop relay order
-    // never matters.
-    bool news = false;
-    if (row.anchor.has_value()) {
-      news |= stability_.set_anchor(row.origin, *row.anchor);
-    }
-    news |= stability_.merge_debts(row.origin, row.debts);
-    news |= stability_.merge_report(row.origin, row.seen);
-    retain_relay_debts(row.origin, row.debts);
+    // Idempotent, commutative max/union merges: multi-hop relay order never
+    // matters.  Relayed debts are retained for onward relay even when this
+    // row taught nothing, since a successor may still need them.
+    const bool news = merge_stability(row.origin, row.anchor, row.report);
+    retain_relay_debts(row.origin, row.report.debts);
     if (news) {
       dirty_rows_.insert(row.origin);
       any_news = true;
@@ -351,7 +360,9 @@ bool Node::handle_data(net::ProcessId from, const DataMessagePtr& m) {
   // as duplicate below (merging is idempotent, so a flow-control redelivery
   // merging twice is harmless).  Future-view piggybacks wait with their
   // message; past-view ones died with the early return above.
-  if (m->view() == view_.id()) merge_piggyback(from, *m);
+  if (m->view() == view_.id() && m->piggyback().has_value()) {
+    merge_piggyback(from, *m->piggyback());
+  }
 
   if (change_.blocked() || m->view().value() > view_.id().value()) {
     // Blocked (t3's ¬blocked guard) or sent in a view this node has not
@@ -436,7 +447,7 @@ void Node::gossip_stability() {
   // frontiers are monotone and merging is idempotent (a peer that misses
   // nothing can learn nothing from an empty round).  Silence is bounded:
   // while convergence is outstanding (retained history, live debts) every
-  // silent_round_period-th clean round escalates to a full-vector
+  // kSilentRoundPeriod-th clean round escalates to a full-vector
   // heartbeat, which repairs any lost round; heartbeats that observe no
   // progress are budgeted so a floor held down by a crashed member (which
   // only a view change can lift) parks the timer instead of ticking
@@ -465,18 +476,16 @@ void Node::gossip_stability() {
         return;
       }
       ++clean_rounds_;
-      if (clean_rounds_ % config_.silent_round_period != 0) {
+      if (clean_rounds_ % kSilentRoundPeriod != 0) {
         ++stats_.gossip_rounds_suppressed;
-        metrics::counters::note_gossip_round_suppressed();
         arm_stability_gossip();
         return;
       }
       const bool progressed = queue_.delivered_retained() != hb_retained_ ||
                               stability_.own_debts() != hb_own_debts_ ||
                               stability_.merged_debts() != hb_merged_debts_;
-      if (!progressed && fruitless_heartbeats_ >= config_.heartbeat_budget) {
+      if (!progressed && fruitless_heartbeats_ >= kHeartbeatBudget) {
         ++stats_.gossip_rounds_suppressed;
-        metrics::counters::note_gossip_round_suppressed();
         return;  // park: only a progress event re-arms and resets the budget
       }
       fruitless_heartbeats_ = progressed ? 0 : fruitless_heartbeats_ + 1;
@@ -502,12 +511,8 @@ void Node::gossip_stability() {
   const bool full = force_full || gossip_round_ < 2 ||
                     gossip_round_ % kFullGossipPeriod == 0;
   ++gossip_round_;
-  auto round = full ? stability_.take_snapshot() : stability_.take_delta();
+  auto report = take_report(full);
   const std::uint64_t anchor = view_first_seq_ - 1;
-  stats_.debt_entries_gossiped += round.debts.size();
-  for (const auto& debt : round.debts) {
-    stats_.debt_bytes_gossiped += StabilityMessage::debt_wire_size(debt);
-  }
   if (ring_mode()) {
     // Ring digest (DESIGN.md §11): the self row is exactly the all-to-all
     // round's content, followed by the relayed rows that changed since the
@@ -515,13 +520,12 @@ void Node::gossip_stability() {
     // analogue of the full-vector gossip).  Shipped to O(fanout) ring
     // successors instead of the whole view.
     StabilityDigestMessage::Rows rows;
-    rows.push_back(StabilityDigestMessage::Row{
-        self_, anchor, std::move(round.seen), std::move(round.debts)});
+    rows.push_back(
+        StabilityDigestMessage::Row{self_, anchor, std::move(report)});
     if (full) {
-      for (const auto& [origin, report] : stability_.peer_reports()) {
-        if (origin == self_) continue;
-        (void)report;
-        rows.push_back(make_relay_row(origin));
+      for (const auto& peer : stability_.peer_reports()) {
+        if (peer.first == self_) continue;
+        rows.push_back(make_relay_row(peer.first));
       }
     } else {
       for (const auto origin : dirty_rows_) {
@@ -541,35 +545,49 @@ void Node::gossip_stability() {
     return;
   }
 
-  const auto m = util::pool_shared<StabilityMessage>(
-      view_.id(), anchor, std::move(round.seen), std::move(round.debts));
-  // Bytes a full-snapshot gossip would have cost (exact encoded size of the
-  // current reception vector and debt ledger, aggregated incrementally by
-  // the ledger — nothing is materialized on the delta path), credited
-  // across the fan-out.
-  const std::size_t full_size =
-      full ? m->wire_size()
-           : StabilityMessage::wire_size_for_entries(
-                 view_.id(), anchor, stability_.tracked_senders(),
-                 stability_.entry_wire_bytes(), stability_.own_debts(),
-                 stability_.debt_wire_bytes());
-  net_.note_gossip_bytes_saved(
-      static_cast<std::uint64_t>(full_size - m->wire_size()) *
-      (view_.size() - 1));
+  if (!full) {
+    // Bytes the full report would have cost over this delta, credited
+    // across the fan-out.  The ledger aggregates the full report's entry
+    // bytes incrementally, so nothing is materialized on the delta path.
+    const std::size_t full_bytes = report_wire_size(
+        stability_.tracked_senders(), stability_.entry_wire_bytes(),
+        stability_.own_debts(), stability_.debt_wire_bytes());
+    net_.note_gossip_bytes_saved(
+        static_cast<std::uint64_t>(full_bytes - report_wire_size(report)) *
+        (view_.size() - 1));
+  }
+  const auto m = util::pool_shared<StabilityMessage>(view_.id(), anchor,
+                                                     std::move(report));
   net_.multicast(self_, view_.members(), m, net::Lane::control);
   arm_stability_gossip();  // keep gossiping while traffic flows
+}
+
+StabilityReport Node::take_report(bool full) {
+  auto report = full ? stability_.take_snapshot() : stability_.take_delta();
+  stats_.debt_entries_gossiped += report.debts.size();
+  for (const auto& debt : report.debts) {
+    stats_.debt_bytes_gossiped += purge_debt_wire_size(debt);
+  }
+  return report;
+}
+
+bool Node::merge_stability(net::ProcessId origin,
+                           std::optional<std::uint64_t> anchor,
+                           const StabilityReport& report) {
+  bool news = anchor.has_value() && stability_.set_anchor(origin, *anchor);
+  news |= stability_.merge_debts(origin, report.debts);
+  news |= stability_.merge_report(origin, report.seen);
+  return news;
 }
 
 void Node::handle_stability(net::ProcessId from,
                             const std::shared_ptr<const StabilityMessage>& m) {
   if (excluded_ || m->view() != view_.id()) return;  // stale or early; drop
-  bool news = stability_.set_anchor(from, m->anchor());
-  news |= stability_.merge_debts(from, m->debts());
-  news |= stability_.merge_report(from, m->seen());
+  const bool news = merge_stability(from, m->anchor(), m->report());
   if (ring_mode() && news) {
     // The sender's round is relayable knowledge: its row changed here.
     dirty_rows_.insert(from);
-    retain_relay_debts(from, m->debts());
+    retain_relay_debts(from, m->report().debts);
   }
   collect_stable();
   // Merging can advance this node's own covered frontiers (a debt just
@@ -598,7 +616,7 @@ void Node::consider_refresh(bool news) {
       config_.stability_interval > sim::Duration::zero() &&
       sim_.now() - last_refresh_ >=
           config_.stability_interval *
-              static_cast<std::int64_t>(config_.silent_round_period)) {
+              static_cast<std::int64_t>(kSilentRoundPeriod)) {
     refresh_spent_ = true;
     refresh_pending_ = true;
     last_refresh_ = sim_.now();
@@ -644,31 +662,19 @@ void Node::maybe_attach_piggyback(DataMessage& m) {
   }
   piggyback_sent_ = true;
   last_piggyback_ = now;
-  auto round = stability_.take_delta();
-  StabilityPiggyback pb;
-  pb.anchor = view_first_seq_ - 1;
-  pb.seen = std::move(round.seen);
-  pb.debts = std::move(round.debts);
-  stats_.debt_entries_gossiped += pb.debts.size();
-  for (const auto& debt : pb.debts) {
-    stats_.debt_bytes_gossiped += purge_debt_wire_size(debt);
-  }
   ++stats_.frontier_piggybacks;
-  metrics::counters::note_frontier_piggyback();
-  m.set_piggyback(std::move(pb));
+  m.set_piggyback(
+      StabilityPiggyback{view_first_seq_ - 1, take_report(/*full=*/false)});
 }
 
-void Node::merge_piggyback(net::ProcessId from, const DataMessage& m) {
-  const auto& pb = m.piggyback();
-  if (!pb.has_value()) return;
+void Node::merge_piggyback(net::ProcessId from, const StabilityPiggyback& pb) {
   // Same merge as a standalone round of the same view — idempotent and
-  // commutative, so piggyback-vs-gossip arrival order never matters.
-  bool news = stability_.set_anchor(from, pb->anchor);
-  news |= stability_.merge_debts(from, pb->debts);
-  news |= stability_.merge_report(from, pb->seen);
-  if (ring_mode() && news) {
+  // commutative, so piggyback-vs-gossip arrival order never matters.  A
+  // piggyback never asks for an anti-entropy refresh: it rides data, so a
+  // no-news section is ordinary traffic, not a stuck peer.
+  if (merge_stability(from, pb.anchor, pb.report) && ring_mode()) {
     dirty_rows_.insert(from);
-    retain_relay_debts(from, pb->debts);
+    retain_relay_debts(from, pb.report.debts);
   }
   collect_stable();
   if (stability_.dirty()) {
@@ -711,9 +717,7 @@ void Node::handle_init(net::ProcessId from,
   // never comes (the member really is dead) nothing else would.  A stale
   // timer is harmless — ready_to_propose re-validates everything,
   // including the *current* change's own start time.
-  if (config_.pred_grace > sim::Duration::zero()) {
-    sim_.schedule_after(config_.pred_grace, [this] { try_propose(); });
-  }
+  sim_.schedule_after(kPredGrace, [this] { try_propose(); });
 
   // Forward so every correct process initiates (t5).
   if (from != self_) {
@@ -761,7 +765,7 @@ void Node::handle_pred(net::ProcessId from,
 
 void Node::try_propose() {
   if (excluded_ ||
-      !change_.ready_to_propose(view_, fd_, sim_.now(), config_.pred_grace)) {
+      !change_.ready_to_propose(view_, fd_, sim_.now(), kPredGrace)) {
     return;
   }
 

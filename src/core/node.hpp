@@ -70,40 +70,15 @@ struct NodeConfig {
   ///
   /// The gossip is quiescent (DESIGN.md §10): a round is suppressed
   /// entirely when the ledger has no delta to report; while convergence is
-  /// still outstanding every silent_round_period-th clean round escalates
-  /// to a full-vector heartbeat, and after heartbeat_budget consecutive
-  /// no-progress heartbeats the timer parks until new traffic, a merge, or
-  /// an install re-arms it.  Stability sections also piggyback on outgoing
-  /// DATA (at most one per stability_interval), so a group under traffic
-  /// needs almost no standalone gossip and an idle group goes silent.
+  /// still outstanding every 4th clean round escalates to a full-vector
+  /// heartbeat, and after 8 consecutive no-progress heartbeats the timer
+  /// parks until new traffic, a merge, or an install re-arms it.  Stability
+  /// sections also piggyback on outgoing DATA (at most one per
+  /// stability_interval), so a group under traffic needs almost no
+  /// standalone gossip and an idle group goes silent.  Views of 16 or more
+  /// members gossip ring-aggregated digests instead of all-to-all rounds
+  /// (DESIGN.md §11).
   sim::Duration stability_interval = sim::Duration::millis(50);
-  /// Clean rounds between heartbeats while unconverged.
-  std::uint64_t silent_round_period = 4;
-  /// Consecutive no-progress heartbeats before the gossip timer parks.
-  std::uint64_t heartbeat_budget = 8;
-  /// Ring-aggregated stability digests (DESIGN.md §11).  When the view has
-  /// at least this many members, each gossip round ships a digest of
-  /// best-known per-origin stability rows to digest_ring_fanout
-  /// deterministic ring successors instead of multicasting an all-to-all
-  /// StabilityMessage — O(fanout) control messages per member per round
-  /// instead of O(n).  The quiescent ladder, piggybacking and no-news
-  /// refresh compose unchanged on top.  0 disables ring mode entirely;
-  /// small views (every existing test and golden) stay on the all-to-all
-  /// path bit-identically.
-  std::size_t digest_ring_threshold = 16;
-  /// Ring successors each digest round addresses (>= 1 when ring mode is
-  /// enabled; news travels `fanout` ring positions per round).
-  std::size_t digest_ring_fanout = 2;
-  /// How long a view change waits for the PREDs of *suspected* members
-  /// before proposing without them.  A live member that was falsely
-  /// suspected (a healed partition ahead of the detector's refutation)
-  /// answers within one round trip; folding its PRED in keeps it in the
-  /// next view and, critically, brings the covers of its sender-side
-  /// purges into the agreed pred-view — without them a receiver that
-  /// delivered past a purged gap closes the view with the gap uncovered
-  /// (FIFO-SR clause (ii), DESIGN.md §3).  A crashed member stays silent
-  /// and costs the change at most this long.
-  sim::Duration pred_grace = sim::Duration::millis(30);
 };
 
 struct NodeStats {
@@ -255,6 +230,16 @@ class Node final : public net::Endpoint {
   void note_seen(const DataMessage& m);
   void arm_stability_gossip();
   void gossip_stability();
+  /// The ledger's next report (full or delta), counted into the debt
+  /// telemetry — what a gossip round or a piggyback ships.
+  [[nodiscard]] StabilityReport take_report(bool full);
+  /// Merges `origin`'s report — from its gossip round, its piggyback or a
+  /// relayed digest row — exactly as if the origin's round had arrived
+  /// directly.  The anchor is absent only on relayed rows that do not know
+  /// it yet.  Returns true when anything was news.
+  bool merge_stability(net::ProcessId origin,
+                       std::optional<std::uint64_t> anchor,
+                       const StabilityReport& report);
   void handle_stability(net::ProcessId from,
                         const std::shared_ptr<const StabilityMessage>& m);
   void collect_stable();
@@ -270,14 +255,14 @@ class Node final : public net::Endpoint {
       net::ProcessId from,
       const std::shared_ptr<const StabilityDigestMessage>& m);
   void retain_relay_debts(net::ProcessId origin,
-                          const StabilityMessage::Debts& debts);
+                          const StabilityReport::Debts& debts);
   void consider_refresh(bool news);
   /// Quiescent-gossip helpers (DESIGN.md §10): attach a delta stability
   /// section to an outgoing DATA (rate-limited), merge an incoming one
   /// (same semantics as a standalone round of the same view), and record
   /// that reportable state advanced (resets the silence bookkeeping).
   void maybe_attach_piggyback(DataMessage& m);
-  void merge_piggyback(net::ProcessId from, const DataMessage& m);
+  void merge_piggyback(net::ProcessId from, const StabilityPiggyback& pb);
   void note_gossip_progress();
   void notify_unblocked();
   void notify_deliverable();
@@ -301,7 +286,7 @@ class Node final : public net::Endpoint {
   bool stability_armed_ = false;
   std::uint64_t gossip_round_ = 0;  // rounds sent in the current view
   // Quiescence bookkeeping.  clean_rounds_ counts consecutive timer
-  // firings with nothing to report; every silent_round_period-th one
+  // firings with nothing to report; every kSilentRoundPeriod-th one
   // escalates to a heartbeat, and fruitless_heartbeats_ bounds heartbeats
   // that observe no progress in (retained, own debts, merged debts).
   // refresh_spent_ limits the anti-entropy response to a still-gossiping

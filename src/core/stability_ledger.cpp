@@ -75,8 +75,7 @@ bool StabilityLedger::set_anchor(net::ProcessId sender, std::uint64_t anchor) {
   // The entry becomes reportable now even if the frontier never moves past
   // the anchor; advance_frontier then only adjusts the frontier's varint.
   changed_.insert(sender);
-  entry_wire_bytes_ +=
-      util::varint_size(sender.value()) + util::varint_size(channel.explained);
+  entry_wire_bytes_ += frontier_entry_wire_size(sender, channel.explained);
   dirty_ = true;
   advance_frontier(sender, channel);
   return true;
@@ -93,14 +92,13 @@ bool StabilityLedger::record_own_debt(std::uint64_t seq,
     return false;
   }
   own_debts_unshipped_.insert(seq);
-  own_debt_wire_bytes_ +=
-      StabilityMessage::debt_wire_size(PurgeDebt{seq, cover_seq});
+  own_debt_wire_bytes_ += purge_debt_wire_size(PurgeDebt{seq, cover_seq});
   dirty_ = true;
   return true;
 }
 
 bool StabilityLedger::merge_debts(net::ProcessId sender,
-                                  const StabilityMessage::Debts& debts) {
+                                  const StabilityReport::Debts& debts) {
   if (debts.empty()) return false;
   Channel& channel = channels_[sender];
   bool news = false;
@@ -186,8 +184,8 @@ void StabilityLedger::advance_frontier(net::ProcessId sender,
 // gossip
 // ---------------------------------------------------------------------------
 
-StabilityMessage::Seen StabilityLedger::snapshot() const {
-  StabilityMessage::Seen out;
+StabilityReport::Seen StabilityLedger::snapshot() const {
+  StabilityReport::Seen out;
   out.reserve(reportable_);
   for (const auto& [sender, channel] : channels_) {
     if (channel.anchor.has_value()) {
@@ -197,37 +195,37 @@ StabilityMessage::Seen StabilityLedger::snapshot() const {
   return out;
 }
 
-StabilityLedger::Round StabilityLedger::take_snapshot() {
-  Round round;
-  round.seen = snapshot();
-  round.debts.reserve(own_debts_.size());
+StabilityReport StabilityLedger::take_snapshot() {
+  StabilityReport report;
+  report.seen = snapshot();
+  report.debts.reserve(own_debts_.size());
   for (const auto& [seq, cover] : own_debts_) {
-    round.debts.push_back(PurgeDebt{seq, cover});
+    report.debts.push_back(PurgeDebt{seq, cover});
   }
   changed_.clear();
   own_debts_unshipped_.clear();
   dirty_ = false;
-  return round;
+  return report;
 }
 
-StabilityLedger::Round StabilityLedger::take_delta() {
-  Round round;
-  round.seen.reserve(changed_.size());
+StabilityReport StabilityLedger::take_delta() {
+  StabilityReport report;
+  report.seen.reserve(changed_.size());
   for (const auto sender : changed_) {
-    round.seen.emplace_back(sender, channels_.at(sender).explained);
+    report.seen.emplace_back(sender, channels_.at(sender).explained);
   }
-  round.debts.reserve(own_debts_unshipped_.size());
+  report.debts.reserve(own_debts_unshipped_.size());
   for (const auto seq : own_debts_unshipped_) {
-    round.debts.push_back(PurgeDebt{seq, own_debts_.at(seq)});
+    report.debts.push_back(PurgeDebt{seq, own_debts_.at(seq)});
   }
   changed_.clear();
   own_debts_unshipped_.clear();
   dirty_ = false;
-  return round;
+  return report;
 }
 
 bool StabilityLedger::merge_report(net::ProcessId from,
-                                   const StabilityMessage::Seen& seen) {
+                                   const StabilityReport::Seen& seen) {
   auto& vector = peer_seen_[from];
   bool news = false;
   for (const auto& [sender, seq] : seen) {
@@ -273,7 +271,7 @@ std::size_t StabilityLedger::collect_debts(const View& view,
     auto it = own_debts_.begin();
     while (it != own_debts_.end() && it->first <= floor) {
       own_debt_wire_bytes_ -=
-          StabilityMessage::debt_wire_size(PurgeDebt{it->first, it->second});
+          purge_debt_wire_size(PurgeDebt{it->first, it->second});
       own_debts_unshipped_.erase(it->first);
       it = own_debts_.erase(it);
       ++collected;

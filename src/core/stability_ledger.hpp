@@ -19,7 +19,7 @@
 //
 //   * a sender that semantically purges seq q from an outgoing buffer
 //     records a per-view purge debt (q -> cover_seq) and gossips it
-//     (record_own_debt / StabilityMessage::debts);
+//     (record_own_debt / StabilityReport::debts);
 //   * each receiver merges the sender's debts and anchor (the seq just
 //     below the sender's first multicast of the view) and reconstructs
 //     exact channel coverage: every seq at or below its **covered
@@ -49,9 +49,11 @@
 //     arrive, so any arrival at or below it is a duplicate).  It is NOT
 //     gossiped.
 //
-// The ledger owns the state and the stability arithmetic; the Node owns
-// the gossip timer and the wire traffic (it knows the network and the
-// quiescence rules).
+// The ledger owns the state and the stability arithmetic and produces the
+// StabilityReport (take_delta / take_snapshot) that every carrier ships —
+// gossip round, DATA piggyback, digest row; the Node owns the gossip timer,
+// the carriers and the wire traffic (it knows the network and the
+// quiescence rules), and merges every incoming report through one path.
 #pragma once
 
 #include <cstdint>
@@ -67,13 +69,6 @@ namespace svs::core {
 
 class StabilityLedger {
  public:
-  /// A gossip round's payload: reception-mark (covered-frontier) entries
-  /// plus this node's own purge-debt entries, both delta- or full-sized.
-  struct Round {
-    StabilityMessage::Seen seen;
-    StabilityMessage::Debts debts;
-  };
-
   // -- reception record ---------------------------------------------------
 
   /// Records a reception (accepted, suppressed, or flushed-in) of `seq`
@@ -112,8 +107,7 @@ class StabilityLedger {
   /// Receiver side: merges debts announced by `sender` (union; debts are
   /// immutable facts) and re-advances the covered frontier they explain.
   /// Returns true when at least one debt was news.
-  bool merge_debts(net::ProcessId sender,
-                   const StabilityMessage::Debts& debts);
+  bool merge_debts(net::ProcessId sender, const StabilityReport::Debts& debts);
 
   /// True when the §3.2 obligation for (sender, seq) is already discharged
   /// at this node: the message was received, or a received message covers
@@ -132,29 +126,29 @@ class StabilityLedger {
 
   /// Snapshot of the local reception vector (covered frontiers), as
   /// gossiped to the peers.
-  [[nodiscard]] StabilityMessage::Seen snapshot() const;
+  [[nodiscard]] StabilityReport::Seen snapshot() const;
 
   /// The entries whose reported frontier changed and the own debts
   /// recorded since the previous take_delta() (or since
   /// construction/reset) — what a gossip round actually needs to ship,
   /// because frontiers are monotone, merge_report is a per-entry max and
   /// debt merging is a union.  Clears the change sets and the dirty flag.
-  [[nodiscard]] Round take_delta();
+  [[nodiscard]] StabilityReport take_delta();
 
   /// Full variant of take_delta(): every frontier entry and every own debt
   /// still in the ledger.  Periodic full rounds make the delta gossip
   /// self-healing — a round dropped by a receiver (e.g. for a view
   /// mismatch during install skew) is repaired by the next full round.
-  [[nodiscard]] Round take_snapshot();
+  [[nodiscard]] StabilityReport take_snapshot();
 
   /// Number of senders with a reportable frontier (|snapshot()|, O(1)).
   [[nodiscard]] std::size_t tracked_senders() const { return reportable_; }
 
   /// Exact encoded size of the snapshot's (sender, frontier) entries and
-  /// of the own-debt section — what a full-vector gossip would put on the
-  /// wire.  Maintained incrementally (O(1) per update), so the delta-
-  /// gossip savings telemetry never materializes the snapshot it avoided
-  /// sending.
+  /// of the own-debt entries — what a full report would put on the wire
+  /// (core::report_wire_size prices the section from these).  Maintained
+  /// incrementally (O(1) per update), so the delta-gossip savings telemetry
+  /// never materializes the snapshot it avoided sending.
   [[nodiscard]] std::size_t entry_wire_bytes() const {
     return entry_wire_bytes_;
   }
@@ -171,7 +165,7 @@ class StabilityLedger {
 
   /// Merges a peer's gossiped reception vector (frontiers are monotone).
   /// Returns true when at least one of the peer's frontiers advanced.
-  bool merge_report(net::ProcessId from, const StabilityMessage::Seen& seen);
+  bool merge_report(net::ProcessId from, const StabilityReport::Seen& seen);
 
   /// The latest reception vectors reported by (or relayed for) each peer —
   /// the relay source for ring-aggregated stability digests (DESIGN.md

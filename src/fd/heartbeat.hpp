@@ -24,10 +24,6 @@ namespace svs::fd {
 class HeartbeatMessage final : public net::Message {
  public:
   HeartbeatMessage() : net::Message(net::MessageType::heartbeat) {}
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    return 1;  // the type tag is the whole message; sender/lane are framing
-  }
 };
 
 class HeartbeatDetector final : public FailureDetector {

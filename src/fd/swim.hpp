@@ -26,7 +26,6 @@
 #include "net/transport.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "util/bytes.hpp"
 
 namespace svs::fd {
 
@@ -40,25 +39,10 @@ struct SwimUpdate {
   Status status = Status::alive;
   std::uint64_t incarnation = 0;
 
-  /// Exact encoded size — the same arithmetic the codec writes (member
-  /// varint, one status byte, incarnation varint).
-  [[nodiscard]] std::size_t wire_size() const {
-    return util::varint_size(member.value()) + 1 +
-           util::varint_size(incarnation);
-  }
-
   friend bool operator==(const SwimUpdate&, const SwimUpdate&) = default;
 };
 
 using SwimUpdates = std::vector<SwimUpdate>;
-
-/// Exact encoded size of an update section (count varint + entries).
-[[nodiscard]] inline std::size_t swim_updates_wire_size(
-    const SwimUpdates& updates) {
-  std::size_t n = util::varint_size(updates.size());
-  for (const auto& update : updates) n += update.wire_size();
-  return n;
-}
 
 /// Direct probe: "are you alive?"  The nonce matches the eventual ack to
 /// the probe that asked.
@@ -71,10 +55,6 @@ class SwimPingMessage final : public net::Message {
 
   [[nodiscard]] std::uint64_t nonce() const { return nonce_; }
   [[nodiscard]] const SwimUpdates& updates() const { return updates_; }
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    return 1 + util::varint_size(nonce_) + swim_updates_wire_size(updates_);
-  }
 
  private:
   std::uint64_t nonce_;
@@ -95,12 +75,6 @@ class SwimPingReqMessage final : public net::Message {
   [[nodiscard]] std::uint64_t nonce() const { return nonce_; }
   [[nodiscard]] net::ProcessId target() const { return target_; }
   [[nodiscard]] const SwimUpdates& updates() const { return updates_; }
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    return 1 + util::varint_size(nonce_) +
-           util::varint_size(target_.value()) +
-           swim_updates_wire_size(updates_);
-  }
 
  private:
   std::uint64_t nonce_;
@@ -125,12 +99,6 @@ class SwimAckMessage final : public net::Message {
   [[nodiscard]] net::ProcessId subject() const { return subject_; }
   [[nodiscard]] std::uint64_t incarnation() const { return incarnation_; }
   [[nodiscard]] const SwimUpdates& updates() const { return updates_; }
-
-  [[nodiscard]] std::size_t compute_wire_size() const override {
-    return 1 + util::varint_size(nonce_) +
-           util::varint_size(subject_.value()) +
-           util::varint_size(incarnation_) + swim_updates_wire_size(updates_);
-  }
 
  private:
   std::uint64_t nonce_;

@@ -1,59 +1,15 @@
 #include "metrics/stats.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/contracts.hpp"
 #include "util/pool.hpp"
 
 namespace svs::metrics {
 
-namespace {
-std::atomic<std::uint64_t> g_gossip_rounds_suppressed{0};
-std::atomic<std::uint64_t> g_frontier_piggybacks{0};
-std::atomic<std::uint64_t> g_frames_batched{0};
-std::atomic<std::uint64_t> g_batch_flushes{0};
-std::atomic<std::uint64_t> g_syscalls_sent{0};
-std::atomic<std::uint64_t> g_syscalls_recvd{0};
-std::atomic<std::uint64_t> g_wheel_cascades{0};
-}  // namespace
-
-namespace counters {
-void note_gossip_round_suppressed() {
-  g_gossip_rounds_suppressed.fetch_add(1, std::memory_order_relaxed);
-}
-void note_frontier_piggyback() {
-  g_frontier_piggybacks.fetch_add(1, std::memory_order_relaxed);
-}
-void note_frames_batched(std::uint64_t n) {
-  g_frames_batched.fetch_add(n, std::memory_order_relaxed);
-}
-void note_batch_flush() {
-  g_batch_flushes.fetch_add(1, std::memory_order_relaxed);
-}
-void note_send_syscall() {
-  g_syscalls_sent.fetch_add(1, std::memory_order_relaxed);
-}
-void note_recv_syscall() {
-  g_syscalls_recvd.fetch_add(1, std::memory_order_relaxed);
-}
-void note_wheel_cascades(std::uint64_t n) {
-  g_wheel_cascades.fetch_add(n, std::memory_order_relaxed);
-}
-}  // namespace counters
-
 Stats Stats::snapshot() {
   const util::PoolStats pools = util::Pool::aggregate();
-  return Stats{pools.hits,
-               pools.misses,
-               pools.bytes_recycled,
-               g_gossip_rounds_suppressed.load(std::memory_order_relaxed),
-               g_frontier_piggybacks.load(std::memory_order_relaxed),
-               g_frames_batched.load(std::memory_order_relaxed),
-               g_batch_flushes.load(std::memory_order_relaxed),
-               g_syscalls_sent.load(std::memory_order_relaxed),
-               g_syscalls_recvd.load(std::memory_order_relaxed),
-               g_wheel_cascades.load(std::memory_order_relaxed)};
+  return Stats{pools.hits, pools.misses, pools.bytes_recycled};
 }
 
 void Summary::add(double x) {
@@ -108,31 +64,6 @@ void PeriodicSampler::stop() {
     sim_.cancel(pending_);
     pending_ = sim::EventId{};
   }
-}
-
-void Histogram::add(std::int64_t key, std::uint64_t weight) {
-  buckets_[key] += weight;
-  total_ += weight;
-}
-
-double Histogram::share(std::int64_t key) const {
-  if (total_ == 0) return 0.0;
-  const auto it = buckets_.find(key);
-  return it == buckets_.end()
-             ? 0.0
-             : static_cast<double>(it->second) / static_cast<double>(total_);
-}
-
-std::int64_t Histogram::percentile(double p) const {
-  SVS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
-  if (total_ == 0) return 0;
-  const double target = p / 100.0 * static_cast<double>(total_);
-  std::uint64_t acc = 0;
-  for (const auto& [k, n] : buckets_) {
-    acc += n;
-    if (static_cast<double>(acc) >= target) return k;
-  }
-  return buckets_.rbegin()->first;
 }
 
 }  // namespace svs::metrics

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -70,70 +68,24 @@ class PeriodicSampler {
   sim::EventId pending_{};
 };
 
-/// Process-wide runtime counters sampled by harnesses and benches.  Today
-/// this covers allocator observability (the pooled hot-path allocator in
-/// util/pool.hpp counts free-list reuses vs system-allocator trips) plus
-/// quiescence/batching observability: suppressed gossip rounds and frontier
-/// piggybacks from core::Node, and frame-batching activity from the
-/// transports.  snapshot() aggregates over every thread's pool plus the
-/// process-wide counters; diff two snapshots to attribute work to a measured
-/// region (bench_micro's flood and steady-state sections do).
+/// Process-wide allocator counters: the pooled hot-path allocator
+/// (util/pool.hpp) counts free-list reuses vs system-allocator trips.
+/// snapshot() aggregates over every thread's pool; diff two snapshots to
+/// attribute work to a measured region (bench_micro's flood and
+/// bench_service do).  Protocol and transport counters live where they are
+/// produced: core::NodeStats, net::NetworkStats, net::UdpLaneStats.
 struct Stats {
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   std::uint64_t bytes_recycled = 0;
-  std::uint64_t gossip_rounds_suppressed = 0;
-  std::uint64_t frontier_piggybacks = 0;
-  std::uint64_t frames_batched = 0;
-  std::uint64_t batch_flushes = 0;
-  std::uint64_t syscalls_sent = 0;    // kernel send calls (sendto/sendmmsg)
-  std::uint64_t syscalls_recvd = 0;   // kernel recv calls (recv/recvmmsg)
-  std::uint64_t wheel_cascades = 0;   // timer-wheel level-to-level moves
 
   [[nodiscard]] static Stats snapshot();
 
   [[nodiscard]] Stats operator-(const Stats& since) const {
     return Stats{pool_hits - since.pool_hits,
                  pool_misses - since.pool_misses,
-                 bytes_recycled - since.bytes_recycled,
-                 gossip_rounds_suppressed - since.gossip_rounds_suppressed,
-                 frontier_piggybacks - since.frontier_piggybacks,
-                 frames_batched - since.frames_batched,
-                 batch_flushes - since.batch_flushes,
-                 syscalls_sent - since.syscalls_sent,
-                 syscalls_recvd - since.syscalls_recvd,
-                 wheel_cascades - since.wheel_cascades};
+                 bytes_recycled - since.bytes_recycled};
   }
-};
-
-/// Cheap process-wide counters noted from protocol/transport hot paths and
-/// folded into Stats::snapshot().  Relaxed atomics: these are telemetry, not
-/// synchronization.
-namespace counters {
-void note_gossip_round_suppressed();
-void note_frontier_piggyback();
-void note_frames_batched(std::uint64_t n);
-void note_batch_flush();
-void note_send_syscall();
-void note_recv_syscall();
-void note_wheel_cascades(std::uint64_t n);
-}  // namespace counters
-
-/// Integer-keyed histogram with share/percentile helpers.
-class Histogram {
- public:
-  void add(std::int64_t key, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double share(std::int64_t key) const;
-  [[nodiscard]] std::int64_t percentile(double p) const;  // p in [0, 100]
-  [[nodiscard]] const std::map<std::int64_t, std::uint64_t>& buckets() const {
-    return buckets_;
-  }
-
- private:
-  std::map<std::int64_t, std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace svs::metrics

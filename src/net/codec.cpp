@@ -163,26 +163,29 @@ void ensure_builtins() {
 //
 // One protocol shared by application payloads and consensus values, so the
 // framing rules (opaque filler for kind 0, exact-length asserts on both
-// sides) cannot drift between the two.
+// sides) cannot drift between the two.  `length` is the object's
+// wire_size(): the framing contract every codec honours, so a counting
+// writer takes it as the body's size without touching the registry.
 // ---------------------------------------------------------------------------
 
 template <typename Object, typename Registry>
 void write_framed(util::ByteWriter& w, std::uint32_t kind, std::size_t length,
-                  const Object* object, Registry& registry) {
+                  const Object* object, Registry& (*registry)()) {
   w.u32(kind);
   w.u64(length);
-  const std::size_t start = w.size();
-  if (kind == 0) {
-    // Opaque: the bytes are filler, but the *count* is the object's honest
-    // encoded size, so byte accounting survives the round trip.
-    for (std::size_t i = 0; i < length; ++i) w.u8(0);
-  } else {
-    const auto entry = registry.find(kind);
-    SVS_REQUIRE(entry.has_value(),
-                "kind has no registered codec; register it before sending "
-                "over a byte-moving transport");
-    entry->encode(*object, w);
+  if (kind == 0 || w.counts_only()) {
+    // Kind 0 is opaque filler whose *count* is the object's honest encoded
+    // size, so byte accounting survives the round trip; a counting writer
+    // needs only that count.
+    w.zeros(length);
+    return;
   }
+  const std::size_t start = w.size();
+  const auto entry = registry().find(kind);
+  SVS_REQUIRE(entry.has_value(),
+              "kind has no registered codec; register it before sending "
+              "over a byte-moving transport");
+  entry->encode(*object, w);
   SVS_ASSERT(w.size() - start == length,
              "registered codec wrote a different number of bytes than the "
              "object's wire_size()");
@@ -212,13 +215,69 @@ Ptr read_framed(util::ByteReader& r, Registry& registry,
 }
 
 // ---------------------------------------------------------------------------
+// the stability report: one section for gossip rounds, DATA piggybacks and
+// digest rows — seen-count u64 · (sender u32 · frontier u64) each ·
+// debt-count u64 · (seq u64 · cover-gap u64) each
+// ---------------------------------------------------------------------------
+
+void encode_report(const core::StabilityReport& report, util::ByteWriter& w) {
+  w.u64(report.seen.size());
+  for (const auto& [sender, frontier] : report.seen) {
+    w.u32(sender.value());
+    w.u64(frontier);
+  }
+  w.u64(report.debts.size());
+  for (const auto& debt : report.debts) {
+    w.u64(debt.seq);
+    w.u64(debt.cover_seq - debt.seq);  // covers are strictly newer
+  }
+}
+
+core::StabilityReport decode_report(util::ByteReader& r) {
+  core::StabilityReport report;
+  const std::uint64_t count = r.u64();
+  // Each entry is at least two bytes (two varints).
+  SVS_REQUIRE(count <= r.remaining(), "seen vector longer than the buffer");
+  report.seen.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const ProcessId sender(r.u32());
+    const std::uint64_t frontier = r.u64();
+    report.seen.emplace_back(sender, frontier);
+  }
+  const std::uint64_t debt_count = r.u64();
+  SVS_REQUIRE(debt_count <= r.remaining(),
+              "debt ledger longer than the buffer");
+  report.debts.reserve(debt_count);
+  std::uint64_t prev_seq = 0;
+  for (std::uint64_t i = 0; i < debt_count; ++i) {
+    const std::uint64_t seq = r.u64();
+    SVS_REQUIRE(i == 0 || seq > prev_seq,
+                "purge debts must be strictly ascending by seq");
+    prev_seq = seq;
+    const std::uint64_t cover_gap = r.u64();
+    SVS_REQUIRE(cover_gap >= 1, "a purge debt's cover must be strictly newer");
+    SVS_REQUIRE(seq <= std::numeric_limits<std::uint64_t>::max() - cover_gap,
+                "purge debt cover overflows");
+    report.debts.push_back(core::PurgeDebt{seq, seq + cover_gap});
+  }
+  return report;
+}
+
+/// Reads a presence byte, which must be exactly 0 or 1.
+bool read_flag(util::ByteReader& r) {
+  const std::uint8_t flag = r.u8();
+  SVS_REQUIRE(flag <= 1, "bad presence flag on the wire");
+  return flag == 1;
+}
+
+// ---------------------------------------------------------------------------
 // per-type bodies
 // ---------------------------------------------------------------------------
 
 void encode_payload(const core::PayloadPtr& payload, util::ByteWriter& w) {
   const std::uint32_t kind = payload != nullptr ? payload->payload_kind() : 0;
   const std::size_t length = payload != nullptr ? payload->wire_size() : 0;
-  write_framed(w, kind, length, payload.get(), payload_registry());
+  write_framed(w, kind, length, payload.get(), payload_registry);
 }
 
 core::PayloadPtr decode_payload(util::ByteReader& r) {
@@ -241,48 +300,7 @@ void encode_data(const core::DataMessage& m, util::ByteWriter& w) {
   w.u8(pb.has_value() ? 1 : 0);
   if (!pb.has_value()) return;
   w.u64(pb->anchor);
-  w.u64(pb->seen.size());
-  for (const auto& [sender, seq] : pb->seen) {
-    w.u32(sender.value());
-    w.u64(seq);
-  }
-  w.u64(pb->debts.size());
-  for (const auto& debt : pb->debts) {
-    w.u64(debt.seq);
-    w.u64(debt.cover_seq - debt.seq);  // covers are strictly newer
-  }
-}
-
-core::StabilityPiggyback decode_piggyback(util::ByteReader& r) {
-  core::StabilityPiggyback pb;
-  pb.anchor = r.u64();
-  const std::uint64_t count = r.u64();
-  // Each entry is at least two bytes (two varints).
-  SVS_REQUIRE(count <= r.remaining(),
-              "piggybacked seen vector longer than the buffer");
-  pb.seen.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ProcessId sender(r.u32());
-    const std::uint64_t seq = r.u64();
-    pb.seen.emplace_back(sender, seq);
-  }
-  const std::uint64_t debt_count = r.u64();
-  SVS_REQUIRE(debt_count <= r.remaining(),
-              "piggybacked debt ledger longer than the buffer");
-  pb.debts.reserve(debt_count);
-  std::uint64_t prev_seq = 0;
-  for (std::uint64_t i = 0; i < debt_count; ++i) {
-    const std::uint64_t seq = r.u64();
-    SVS_REQUIRE(i == 0 || seq > prev_seq,
-                "piggybacked purge debts must be strictly ascending by seq");
-    prev_seq = seq;
-    const std::uint64_t cover_gap = r.u64();
-    SVS_REQUIRE(cover_gap >= 1, "a purge debt's cover must be strictly newer");
-    SVS_REQUIRE(seq <= std::numeric_limits<std::uint64_t>::max() - cover_gap,
-                "purge debt cover overflows");
-    pb.debts.push_back(core::PurgeDebt{seq, seq + cover_gap});
-  }
-  return pb;
+  encode_report(pb->report, w);
 }
 
 MessagePtr decode_data(util::ByteReader& r) {
@@ -294,10 +312,10 @@ MessagePtr decode_data(util::ByteReader& r) {
   auto m = util::pool_shared<core::DataMessage>(sender, seq, view,
                                                std::move(annotation),
                                                std::move(payload));
-  const std::uint8_t has_piggyback = r.u8();
-  SVS_REQUIRE(has_piggyback <= 1,
-              "bad piggyback-presence flag on the wire");
-  if (has_piggyback == 1) m->set_piggyback(decode_piggyback(r));
+  if (read_flag(r)) {
+    const std::uint64_t anchor = r.u64();
+    m->set_piggyback(core::StabilityPiggyback{anchor, decode_report(r)});
+  }
   return m;
 }
 
@@ -341,51 +359,14 @@ MessagePtr decode_pred(util::ByteReader& r) {
 void encode_stability(const core::StabilityMessage& m, util::ByteWriter& w) {
   w.u64(m.view().value());
   w.u64(m.anchor());
-  w.u64(m.seen().size());
-  for (const auto& [sender, seq] : m.seen()) {
-    w.u32(sender.value());
-    w.u64(seq);
-  }
-  w.u64(m.debts().size());
-  for (const auto& debt : m.debts()) {
-    w.u64(debt.seq);
-    w.u64(debt.cover_seq - debt.seq);  // covers are strictly newer
-  }
+  encode_report(m.report(), w);
 }
 
 MessagePtr decode_stability(util::ByteReader& r) {
   const core::ViewId view(r.u64());
   const std::uint64_t anchor = r.u64();
-  const std::uint64_t count = r.u64();
-  // Each entry is at least two bytes (two varints).
-  SVS_REQUIRE(count <= r.remaining(), "seen vector longer than the buffer");
-  core::StabilityMessage::Seen seen;
-  seen.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ProcessId sender(r.u32());
-    const std::uint64_t seq = r.u64();
-    seen.emplace_back(sender, seq);
-  }
-  const std::uint64_t debt_count = r.u64();
-  SVS_REQUIRE(debt_count <= r.remaining(),
-              "debt ledger longer than the buffer");
-  core::StabilityMessage::Debts debts;
-  debts.reserve(debt_count);
-  std::uint64_t prev_seq = 0;
-  for (std::uint64_t i = 0; i < debt_count; ++i) {
-    const std::uint64_t seq = r.u64();
-    SVS_REQUIRE(i == 0 || seq > prev_seq,
-                "purge debts must be strictly ascending by seq");
-    prev_seq = seq;
-    const std::uint64_t cover_gap = r.u64();
-    SVS_REQUIRE(cover_gap >= 1, "a purge debt's cover must be strictly newer");
-    SVS_REQUIRE(seq <= std::numeric_limits<std::uint64_t>::max() - cover_gap,
-                "purge debt cover overflows");
-    debts.push_back(core::PurgeDebt{seq, seq + cover_gap});
-  }
   return util::pool_shared<core::StabilityMessage>(view, anchor,
-                                                  std::move(seen),
-                                                  std::move(debts));
+                                                  decode_report(r));
 }
 
 // -- SWIM probe traffic (DESIGN.md §11) -------------------------------------
@@ -469,23 +450,14 @@ void encode_stability_digest(const core::StabilityDigestMessage& m,
     w.u32(row.origin.value());
     w.u8(row.anchor.has_value() ? 1 : 0);
     if (row.anchor.has_value()) w.u64(*row.anchor);
-    w.u64(row.seen.size());
-    for (const auto& [sender, seq] : row.seen) {
-      w.u32(sender.value());
-      w.u64(seq);
-    }
-    w.u64(row.debts.size());
-    for (const auto& debt : row.debts) {
-      w.u64(debt.seq);
-      w.u64(debt.cover_seq - debt.seq);  // covers are strictly newer
-    }
+    encode_report(row.report, w);
   }
 }
 
 MessagePtr decode_stability_digest(util::ByteReader& r) {
   const core::ViewId view(r.u64());
   const std::uint64_t row_count = r.u64();
-  // Each row is at least three bytes (origin, presence flag, two counts).
+  // Each row is at least four bytes (origin, presence flag, two counts).
   SVS_REQUIRE(row_count <= r.remaining(),
               "digest row section longer than the buffer");
   core::StabilityDigestMessage::Rows rows;
@@ -493,37 +465,8 @@ MessagePtr decode_stability_digest(util::ByteReader& r) {
   for (std::uint64_t i = 0; i < row_count; ++i) {
     core::StabilityDigestMessage::Row row;
     row.origin = ProcessId(r.u32());
-    const std::uint8_t has_anchor = r.u8();
-    SVS_REQUIRE(has_anchor <= 1,
-                "bad anchor-presence flag on the wire");
-    if (has_anchor == 1) row.anchor = r.u64();
-    const std::uint64_t seen_count = r.u64();
-    SVS_REQUIRE(seen_count <= r.remaining(),
-                "digest seen vector longer than the buffer");
-    row.seen.reserve(seen_count);
-    for (std::uint64_t j = 0; j < seen_count; ++j) {
-      const ProcessId sender(r.u32());
-      const std::uint64_t seq = r.u64();
-      row.seen.emplace_back(sender, seq);
-    }
-    const std::uint64_t debt_count = r.u64();
-    SVS_REQUIRE(debt_count <= r.remaining(),
-                "digest debt ledger longer than the buffer");
-    row.debts.reserve(debt_count);
-    std::uint64_t prev_seq = 0;
-    for (std::uint64_t j = 0; j < debt_count; ++j) {
-      const std::uint64_t seq = r.u64();
-      SVS_REQUIRE(j == 0 || seq > prev_seq,
-                  "digest purge debts must be strictly ascending by seq");
-      prev_seq = seq;
-      const std::uint64_t cover_gap = r.u64();
-      SVS_REQUIRE(cover_gap >= 1,
-                  "a purge debt's cover must be strictly newer");
-      SVS_REQUIRE(
-          seq <= std::numeric_limits<std::uint64_t>::max() - cover_gap,
-          "purge debt cover overflows");
-      row.debts.push_back(core::PurgeDebt{seq, seq + cover_gap});
-    }
+    if (read_flag(r)) row.anchor = r.u64();
+    row.report = decode_report(r);
     rows.push_back(std::move(row));
   }
   return util::pool_shared<core::StabilityDigestMessage>(view,
@@ -540,7 +483,7 @@ void encode_consensus(const consensus::ConsensusMessage& m,
   w.u8(value != nullptr ? 1 : 0);
   if (value == nullptr) return;
   write_framed(w, value->value_kind(), value->wire_size(), value.get(),
-               value_registry());
+               value_registry);
 }
 
 MessagePtr decode_consensus(util::ByteReader& r) {
@@ -551,10 +494,8 @@ MessagePtr decode_consensus(util::ByteReader& r) {
       phase_raw <= static_cast<std::uint8_t>(consensus::Phase::decide),
       "bad consensus phase on the wire");
   const consensus::Round timestamp = r.u32();
-  const std::uint8_t has_value = r.u8();
-  SVS_REQUIRE(has_value <= 1, "bad value-presence flag on the wire");
   consensus::ValuePtr value;
-  if (has_value == 1) {
+  if (read_flag(r)) {
     value = read_framed<consensus::ValuePtr>(
         r, value_registry(),
         [](std::uint64_t length) {
@@ -595,8 +536,15 @@ bool ValueCodecRegistry::registered(std::uint32_t kind) {
 // codec
 // ---------------------------------------------------------------------------
 
+std::size_t Message::compute_wire_size() const {
+  // The size is the encoder's own count (DESIGN.md §6): the same writes,
+  // into a writer that stores nothing, so sizing allocates no frame.
+  util::ByteWriter w = util::ByteWriter::counting();
+  Codec::encode(*this, w);
+  return w.size();
+}
+
 void Codec::encode(const Message& m, util::ByteWriter& w) {
-  const std::size_t start = w.size();
   w.u8(static_cast<std::uint8_t>(m.type()));
   switch (m.type()) {
     case MessageType::data:
@@ -634,10 +582,6 @@ void Codec::encode(const Message& m, util::ByteWriter& w) {
                   "MessageType::other has no wire encoding; byte-moving "
                   "transports carry protocol messages only");
   }
-  // The drift guard of DESIGN.md §6: wire_size() *is* the encoded size.
-  SVS_ASSERT(w.size() - start == m.wire_size(),
-             "codec wrote a different number of bytes than wire_size() "
-             "promises");
 }
 
 util::Bytes Codec::encode(const Message& m) {

@@ -3,10 +3,13 @@
 //
 // Every MessageType the protocol sends has exactly one encoding: a one-byte
 // type tag followed by a type-specific body of LEB128 varints, annotation
-// encodings (obs/annotation.hpp) and length-framed blobs.  `wire_size()` is
-// *defined* as the number of bytes this codec writes, and the codec asserts
-// that equality at every encode site — the two can never drift, and every
-// byte counter in NetworkStats is therefore a measurement, not an estimate.
+// encodings (obs/annotation.hpp) and length-framed blobs.  This file is the
+// only description of the format: `Message::wire_size()` runs `encode` into
+// a counting util::ByteWriter, so every byte counter in NetworkStats is the
+// encoder's own count, on the simulator (which never encodes) as much as on
+// the UDP backend.  The stability report — covered frontiers plus purge
+// debts — is one section shared by the gossip round, the DATA piggyback and
+// every digest row, with one encoder and one validating decoder.
 //
 // Extensibility mirrors the two open points of the format:
 //
@@ -64,10 +67,11 @@ class ValueCodecRegistry {
 
 class Codec {
  public:
-  /// Appends the full encoding (tag + body) of `m` to `w`.  Asserts that
-  /// exactly m.wire_size() bytes were written.  Throws ContractViolation
-  /// for MessageType::other (test-only messages have no wire format) and
-  /// for payload/value kinds without a registered codec.
+  /// Appends the full encoding (tag + body) of `m` to `w`; into a counting
+  /// writer this is how m.wire_size() is computed.  Throws
+  /// ContractViolation for MessageType::other (test-only messages have no
+  /// wire format) and, when actually encoding, for payload/value kinds
+  /// without a registered codec.
   static void encode(const Message& m, util::ByteWriter& w);
 
   /// Convenience: `m` as a fresh byte buffer.

@@ -1,9 +1,11 @@
 // Transport-level message abstraction.
 //
 // The simulation passes messages by shared pointer (zero-copy, like a real
-// stack passing refcounted buffers), but every message reports an estimated
+// stack passing refcounted buffers), but every message reports its exact
 // wire size so experiments can account for encoded bytes where it matters
-// (§4.2's compactness comparison).
+// (§4.2's compactness comparison).  The size is the codec's own count: the
+// simulator never encodes, so wire_size() runs net::Codec into a counting
+// writer that stores nothing (DESIGN.md §6).
 //
 // Every message carries a MessageType tag so receivers dispatch with a
 // switch instead of a chain of dynamic_pointer_cast probes — one byte on
@@ -54,11 +56,10 @@ class Message {
   virtual ~Message() = default;
 
   /// Exact size in bytes when encoded for the wire — the number of bytes
-  /// net::Codec writes, asserted against the actual encoding at every
-  /// encode site (DESIGN.md §6).  Computed once per message and cached:
-  /// messages are immutable, and byte accounting touches every delivery,
-  /// so the fan-out shares one computation instead of paying a walk over
-  /// nested structures per destination.
+  /// net::Codec writes (DESIGN.md §6).  Computed once per message and
+  /// cached: messages are immutable, and byte accounting touches every
+  /// delivery, so the fan-out shares one computation instead of paying an
+  /// encode per destination.
   [[nodiscard]] std::size_t wire_size() const {
     if (wire_size_cache_ == 0) wire_size_cache_ = compute_wire_size();
     return wire_size_cache_;
@@ -77,10 +78,11 @@ class Message {
   [[nodiscard]] bool frame_cached() const { return frame_cache_ != nullptr; }
 
  protected:
-  /// The exact encoded size; every concrete message implements this from
-  /// the same arithmetic the codec uses.  Called at most once per object
-  /// (via the wire_size() cache).
-  [[nodiscard]] virtual std::size_t compute_wire_size() const = 0;
+  /// The exact encoded size: net::Codec::encode run into a counting
+  /// writer (defined in net/codec.cpp).  Only MessageType::other test
+  /// messages, which have no encoding, override it.  Called at most once
+  /// per object (via the wire_size() cache).
+  [[nodiscard]] virtual std::size_t compute_wire_size() const;
 
  private:
   friend class Codec;  // fills frame_cache_ on the first shared_frame()

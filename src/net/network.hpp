@@ -36,8 +36,8 @@
 // allocation on the fan-out path).
 //
 // Byte accounting: every enqueue records the message's encoded size
-// (wire_size(), contract-checked against net::Codec at every encode site),
-// so bytes_sent / bytes_delivered / bytes_purged are measured wire bytes.
+// (wire_size(), net::Codec's own count of the bytes it writes), so
+// bytes_sent / bytes_delivered / bytes_purged are measured wire bytes.
 #pragma once
 
 #include <cstdint>

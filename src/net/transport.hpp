@@ -51,9 +51,9 @@ class Endpoint {
 };
 
 /// Aggregate counters (per transport).  Byte counters are *measured*: they
-/// count encoded wire bytes, and `wire_size()` is contract-checked against
-/// the codec at every encode site (net/codec.cpp), so the same numbers come
-/// out of the simulated and the byte-moving backends.
+/// count encoded wire bytes, and `wire_size()` is the codec's own count
+/// (net/codec.cpp), so the same numbers come out of the simulated and the
+/// byte-moving backends.
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;

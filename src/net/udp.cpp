@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/stats.hpp"
 #include "util/contracts.hpp"
 
 namespace svs::net {
@@ -133,7 +132,6 @@ UdpSocket::SendResult UdpSocket::send_one(std::uint16_t port,
   const sockaddr_in addr = loopback_addr(port);
   ++counters_.send_syscalls;
   ++counters_.single_sends;
-  metrics::counters::note_send_syscall();
   const ssize_t n =
       ::sendto(fd_, data, size, 0, reinterpret_cast<const sockaddr*>(&addr),
                sizeof addr);
@@ -194,7 +192,6 @@ bool UdpSocket::send_batch(std::span<const OutDatagram> items,
     }
     ++counters_.send_syscalls;
     ++counters_.mmsg_sends;
-    metrics::counters::note_send_syscall();
     const int n = ::sendmmsg(fd_, msgs, static_cast<unsigned>(chunk), 0);
     if (n < 0) {
       if (errno == ENOSYS || errno == EOPNOTSUPP) {
@@ -221,27 +218,6 @@ bool UdpSocket::send_batch(std::span<const OutDatagram> items,
   return true;
 }
 
-bool UdpSocket::recv(util::Bytes& buffer) {
-  SVS_REQUIRE(fd_ >= 0, "socket closed");
-  // 64 KiB covers any UDP payload; resize down to the actual datagram.
-  buffer.resize(kDatagramMax);
-  ++counters_.recv_syscalls;
-  ++counters_.single_recvs;
-  metrics::counters::note_recv_syscall();
-  const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), 0);
-  if (n < 0) {
-    buffer.clear();
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
-        errno == ECONNREFUSED) {
-      return false;
-    }
-    fail("recv");
-  }
-  buffer.resize(static_cast<std::size_t>(n));
-  ++counters_.datagrams_received;
-  return true;
-}
-
 std::size_t UdpSocket::recv_batch(RecvRing& ring) {
   SVS_REQUIRE(fd_ >= 0, "socket closed");
   ring.count_ = 0;
@@ -265,7 +241,6 @@ std::size_t UdpSocket::recv_batch(RecvRing& ring) {
     }
     ++counters_.recv_syscalls;
     ++counters_.mmsg_recvs;
-    metrics::counters::note_recv_syscall();
     const int n = ::recvmmsg(fd_, msgs, static_cast<unsigned>(cap),
                              MSG_DONTWAIT, nullptr);
     if (n >= 0) {
@@ -286,7 +261,6 @@ std::size_t UdpSocket::recv_batch(RecvRing& ring) {
   while (ring.count_ < cap) {
     ++counters_.recv_syscalls;
     ++counters_.single_recvs;
-    metrics::counters::note_recv_syscall();
     const ssize_t n = ::recv(fd_, ring.buffers_[ring.count_].data(),
                              kDatagramMax, MSG_DONTWAIT);
     if (n < 0) {

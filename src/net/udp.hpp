@@ -105,10 +105,6 @@ class UdpSocket {
   /// unsent and a later call resumes from the tail without reordering.
   bool send_batch(std::span<const OutDatagram> items, std::size_t& sent);
 
-  /// Non-blocking receive of one datagram into `buffer` (resized to the
-  /// datagram's length).  Returns false when nothing is queued.
-  bool recv(util::Bytes& buffer);
-
   /// Fills `ring` from the socket with one recvmmsg (non-blocking) and
   /// returns the datagram count.  A return shorter than the ring capacity
   /// means the socket is drained — no extra probe syscall needed.

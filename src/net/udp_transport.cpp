@@ -6,7 +6,6 @@
 #include <limits>
 #include <string>
 
-#include "metrics/stats.hpp"
 #include "net/codec.hpp"
 #include "net/fault_injector.hpp"
 #include "sim/fault_plan.hpp"
@@ -473,12 +472,7 @@ bool UdpTransport::shadow_cross(ProcessId from, std::size_t to_index,
     }
   }
   receiver.expected[LinkKey{from.value(), lane_byte}].push_back(frame);
-  if (config_.batch_bytes == 0) {
-    const std::uint64_t seq = link.stage(std::move(frame), mono_us());
-    transmit(sender, receiver.id.value(), lane_byte, link, seq);
-  } else {
-    batch_frame(sender, key, std::move(frame));
-  }
+  batch_frame(sender, key, std::move(frame));
 
   // Service cadence: a full transport turn (sockets drained, timers fired)
   // every kServiceEvery crossings keeps the shadow wire flowing without a
@@ -528,12 +522,6 @@ bool UdpTransport::async_send(ProcessId from, ProcessId peer,
   const bool cached = message->frame_cached();
   FramePtr frame = Codec::shared_frame(*message);
   ++(cached ? lane_stats_.frame_reuses : lane_stats_.frame_encodes);
-  if (config_.batch_bytes == 0) {
-    const std::uint64_t seq = link.stage(std::move(frame), mono_us());
-    transmit(p, peer.value(), lane_byte, link, seq);
-    flush_sendq(p);
-    return true;
-  }
   batch_frame(p, key, std::move(frame));
   return true;
 }
@@ -572,11 +560,7 @@ void UdpTransport::flush_batch(Proc& p, const LinkKey& key) {
   ReliableLink& link = link_for(p, key.first, key.second);
   if (link.dead()) return;  // peer died while the batch was open: swallow
   ++lane_stats_.batch_flushes;
-  metrics::counters::note_batch_flush();
-  if (frames.size() >= 2) {
-    lane_stats_.frames_batched += frames.size();
-    metrics::counters::note_frames_batched(frames.size());
-  }
+  if (frames.size() >= 2) lane_stats_.frames_batched += frames.size();
   const std::uint64_t seq = link.stage(std::move(frames), mono_us());
   transmit(p, key.first, key.second, link, seq);
 }
@@ -812,11 +796,6 @@ void UdpTransport::pump_wheel(std::int64_t now_us) {
     on_timer(payload, now_us);
   };
   wheel_.advance(static_cast<std::uint64_t>(now_us), fire);
-  const std::uint64_t cascades = wheel_.cascades();
-  if (cascades != wheel_cascades_noted_) {
-    metrics::counters::note_wheel_cascades(cascades - wheel_cascades_noted_);
-    wheel_cascades_noted_ = cascades;
-  }
 }
 
 void UdpTransport::on_timer(std::uint64_t payload, std::int64_t now_us) {

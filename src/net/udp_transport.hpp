@@ -307,8 +307,8 @@ class UdpTransport final : public Transport {
     /// same (peer, lane) coalesce into one datagram until the batch
     /// reaches this many payload bytes (soft MTU budget) or
     /// Datagram::kMaxBatchFrames, or until batch_delay_us of real time
-    /// passes since the batch opened.  0 disables batching (every frame is
-    /// its own datagram, the pre-batching wire behavior).
+    /// passes since the batch opened.  0 sends every frame as its own
+    /// datagram (the batch fills, and flushes, on its first frame).
     std::size_t batch_bytes = 1400;
     std::int64_t batch_delay_us = 200;
     /// sendmmsg/recvmmsg on every socket (false forces the portable
@@ -570,8 +570,7 @@ class UdpTransport final : public Transport {
   void arm_probe(Proc& p, std::uint32_t peer, std::int64_t deadline_us);
   /// Flushes p's send queue; on kernel backpressure arms the retry timer.
   void flush_sendq(Proc& p);
-  /// Advances the wheel to `now_us`, dispatching fires, and publishes the
-  /// cascade-count delta to metrics.
+  /// Advances the wheel to `now_us`, dispatching fires.
   void pump_wheel(std::int64_t now_us);
   void on_timer(std::uint64_t payload, std::int64_t now_us);
   /// Retry budget exhausted towards key.first: crash the peer
@@ -586,7 +585,6 @@ class UdpTransport final : public Transport {
   DatagramLossModel loss_;
   UdpLaneStats lane_stats_;
   util::TimerWheel wheel_;
-  std::uint64_t wheel_cascades_noted_ = 0;  // last value pushed to metrics
   std::uint64_t crossings_ = 0;             // shadow crossings since start
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<std::unique_ptr<LocalAdapter>> adapters_;

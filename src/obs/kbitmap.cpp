@@ -86,13 +86,11 @@ std::size_t KBitmap::wire_size() const {
 
 void KBitmap::encode(util::ByteWriter& writer) const {
   writer.u64(k_);
+  // Bit d-1 of the words is distance d and the bits past k stay clear, so
+  // the wire bytes are the words' bytes, least significant first.
   for (std::size_t byte = 0; byte < (k_ + 7) / 8; ++byte) {
-    std::uint8_t b = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      const std::size_t d = byte * 8 + i + 1;
-      if (test(d)) b |= static_cast<std::uint8_t>(1U << i);
-    }
-    writer.u8(b);
+    const std::uint64_t word = words_[byte / 8];
+    writer.u8(static_cast<std::uint8_t>(word >> (8 * (byte % 8))));
   }
 }
 

@@ -4,9 +4,25 @@
 
 namespace svs::util {
 
-void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
+ByteWriter ByteWriter::counting() {
+  ByteWriter w;
+  w.counting_ = true;
+  return w;
+}
+
+void ByteWriter::u8(std::uint8_t v) {
+  if (counting_) {
+    ++counted_;
+    return;
+  }
+  buf_.push_back(v);
+}
 
 void ByteWriter::u64(std::uint64_t v) {
+  if (counting_) {
+    counted_ += varint_size(v);
+    return;
+  }
   while (v >= 0x80) {
     buf_.push_back(static_cast<std::uint8_t>(v) | 0x80U);
     v >>= 7;
@@ -17,13 +33,29 @@ void ByteWriter::u64(std::uint64_t v) {
 void ByteWriter::u32(std::uint32_t v) { u64(v); }
 
 void ByteWriter::fixed64(std::uint64_t v) {
+  if (counting_) {
+    counted_ += 8;
+    return;
+  }
   for (int i = 0; i < 8; ++i) {
     buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
 
 void ByteWriter::bytes(const std::uint8_t* data, std::size_t n) {
+  if (counting_) {
+    counted_ += n;
+    return;
+  }
   buf_.insert(buf_.end(), data, data + n);
+}
+
+void ByteWriter::zeros(std::size_t n) {
+  if (counting_) {
+    counted_ += n;
+    return;
+  }
+  buf_.resize(buf_.size() + n, 0);
 }
 
 void ByteWriter::str(const std::string& s) {

@@ -1,9 +1,10 @@
 // Minimal byte-oriented encoder/decoder.
 //
 // The simulator passes messages in memory, but §4.2 of the paper argues about
-// the *wire compactness* of the obsolescence representations.  This codec is
-// used to compute and test realistic encoded sizes (varint-based, like a
-// typical GCS transport) and by the representation benchmarks.
+// the *wire compactness* of the obsolescence representations.  net::Codec
+// writes every message through ByteWriter (varint-based, like a typical GCS
+// transport); a counting() writer runs the same writes without storing a
+// byte, which is how a message is sized where nothing is encoded.
 #pragma once
 
 #include <cstddef>
@@ -19,19 +20,30 @@ using Bytes = std::vector<std::uint8_t>;
 /// Appends primitive values to a byte buffer (LEB128 varints for integers).
 class ByteWriter {
  public:
+  /// A writer that stores nothing: every write only advances size(), so
+  /// size() is the byte count the same writes would have appended.
+  [[nodiscard]] static ByteWriter counting();
+
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);   // varint
   void u64(std::uint64_t v);   // varint
   void fixed64(std::uint64_t v);
   void bytes(const std::uint8_t* data, std::size_t n);
+  void zeros(std::size_t n);
   void str(const std::string& s);
 
+  /// True for a counting() writer (its data() stays empty).
+  [[nodiscard]] bool counts_only() const { return counting_; }
   [[nodiscard]] const Bytes& data() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return counting_ ? counted_ : buf_.size();
+  }
   Bytes take() { return std::move(buf_); }
 
  private:
   Bytes buf_;
+  std::size_t counted_ = 0;
+  bool counting_ = false;
 };
 
 /// Reads values written by ByteWriter; throws ContractViolation on underrun

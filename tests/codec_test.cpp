@@ -1,10 +1,12 @@
 // Wire-codec tests (DESIGN.md §6): a round-trip property for every
 // MessageType and every registered payload/value kind, the measured-bytes
-// contract (encoded.size() == wire_size(), always), and decode hardening —
-// truncations, bad tags, garbage suffixes and a deterministic byte-mutation
-// fuzz loop must throw ContractViolation, never crash.
+// contract (encoded.size() == wire_size(), always), a byte-for-byte golden
+// of one frame per shape, and decode hardening — truncations, bad tags,
+// garbage suffixes and a deterministic byte-mutation fuzz loop must throw
+// ContractViolation, never crash.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -220,84 +222,69 @@ TEST_F(CodecFixture, PredRoundTripsNestedMessages) {
 TEST_F(CodecFixture, StabilityRoundTrips) {
   const core::StabilityMessage m(
       ViewId(2), 41,
-      {{ProcessId(0), 17}, {ProcessId(3), 0}, {ProcessId(9), 1u << 20}},
-      {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}});
+      {{{ProcessId(0), 17}, {ProcessId(3), 0}, {ProcessId(9), 1u << 20}},
+       {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}});
   const auto back = round_trip(m);
   const auto& stability = static_cast<const core::StabilityMessage&>(*back);
   EXPECT_EQ(stability.view(), ViewId(2));
   EXPECT_EQ(stability.anchor(), 41u);
-  EXPECT_EQ(stability.seen(), m.seen());
-  EXPECT_EQ(stability.debts(), m.debts());
+  EXPECT_EQ(stability.report(), m.report());
 }
 
-TEST_F(CodecFixture, StabilityDebtSectionHasExactWireSize) {
-  // The debt section's arithmetic, spelled out byte by byte: seq varint
-  // plus the positive cover-gap varint per entry (Codec::encode itself
-  // asserts wire_size() parity at every encode, so a drift would already
-  // throw — this pins the *arithmetic*, not just the consistency).
-  const core::StabilityMessage::Debts debts{core::PurgeDebt{1, 2},
-                                            core::PurgeDebt{200, 500},
-                                            core::PurgeDebt{1000, 20000}};
-  const core::StabilityMessage empty_debts(ViewId(7), 3,
-                                           {{ProcessId(1), 9}}, {});
-  const core::StabilityMessage with_debts(ViewId(7), 3, {{ProcessId(1), 9}},
-                                          debts);
-  std::size_t expected = 0;
-  expected += util::varint_size(1) + util::varint_size(2 - 1);
-  expected += util::varint_size(200) + util::varint_size(500 - 200);
-  expected += util::varint_size(1000) + util::varint_size(20000 - 1000);
-  EXPECT_EQ(with_debts.wire_size(), empty_debts.wire_size() + expected);
-  EXPECT_EQ(Codec::encode(with_debts).size(), with_debts.wire_size());
-}
-
-TEST_F(CodecFixture, StabilityDebtHardening) {
-  const auto frame_with_debts = [](auto&& write_debts) {
-    util::ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(MessageType::stability));
-    w.u64(1);  // view
-    w.u64(0);  // anchor
-    w.u64(0);  // no seen entries
-    write_debts(w);
-    return w.take();
+TEST_F(CodecFixture, ReportSectionIsOneShapeWithExactHelperSizes) {
+  // The report section is the same bytes in a gossip round, a DATA
+  // piggyback and a digest row, and the entry/debt/section helpers that
+  // price reports nothing encodes (the full snapshot a delta round
+  // avoided) agree with the encoder byte for byte — count varints past
+  // one byte included.
+  core::StabilityReport long_ledger{{{ProcessId(1), 9}}, {}};
+  for (std::uint64_t i = 0; i < 130; ++i) {
+    long_ledger.debts.push_back(core::PurgeDebt{10 + 3 * i, 12 + 3 * i});
+  }
+  const std::vector<core::StabilityReport> reports = {
+      {},
+      {{{ProcessId(1), 9}}, {}},
+      {{{ProcessId(0), 17}, {ProcessId(300), 1u << 20}},
+       {core::PurgeDebt{1, 2}, core::PurgeDebt{200, 500},
+        core::PurgeDebt{1000, 20000}}},
+      long_ledger,
   };
-  // Non-ascending debt seqs are malformed.
-  EXPECT_THROW((void)Codec::decode(frame_with_debts([](util::ByteWriter& w) {
-                 w.u64(2);  // two debts
-                 w.u64(5);
-                 w.u64(1);
-                 w.u64(5);  // same seq again
-                 w.u64(1);
-               })),
-               util::ContractViolation);
-  // A zero cover gap would claim a message purged itself.
-  EXPECT_THROW((void)Codec::decode(frame_with_debts([](util::ByteWriter& w) {
-                 w.u64(1);
-                 w.u64(5);
-                 w.u64(0);
-               })),
-               util::ContractViolation);
-  // A debt count beyond the buffer is rejected before allocation.
-  EXPECT_THROW((void)Codec::decode(frame_with_debts([](util::ByteWriter& w) {
-                 w.u64(1ULL << 59);
-               })),
-               util::ContractViolation);
-  // A cover gap overflowing uint64 is rejected.
-  EXPECT_THROW((void)Codec::decode(frame_with_debts([](util::ByteWriter& w) {
-                 w.u64(1);
-                 w.u64(0xFFFFFFFFFFFFFFFFULL);  // seq = 2^64 - 1
-                 w.u64(2);                      // cover wraps
-               })),
-               util::ContractViolation);
+  const auto round_bytes = [](const core::StabilityReport& report) {
+    return Codec::encode(core::StabilityMessage(ViewId(7), 3, report)).size();
+  };
+  const auto piggyback_bytes = [](const core::StabilityReport& report) {
+    DataMessage m(ProcessId(5), 41, ViewId(7), obs::Annotation::none(),
+                  nullptr);
+    m.set_piggyback(core::StabilityPiggyback{3, report});
+    return Codec::encode(m).size();
+  };
+  const auto row_bytes = [](const core::StabilityReport& report) {
+    return Codec::encode(core::StabilityDigestMessage(
+                             ViewId(7), {{ProcessId(2), 3, report}}))
+        .size();
+  };
+  const core::StabilityReport empty;
+  const std::size_t empty_section = core::report_wire_size(empty);
+  for (const auto& report : reports) {
+    // report_wire_size(report) sums the entry and debt helpers into the
+    // aggregate section helper, so this pins all three.
+    const std::size_t section = core::report_wire_size(report);
+    EXPECT_EQ(round_bytes(report) - round_bytes(empty),
+              section - empty_section);
+    EXPECT_EQ(piggyback_bytes(report) - piggyback_bytes(empty),
+              section - empty_section);
+    EXPECT_EQ(row_bytes(report) - row_bytes(empty), section - empty_section);
+  }
 }
 
 TEST_F(CodecFixture, DataPiggybackRoundTrips) {
   // The optional stability-piggyback section on DATA messages: a rich one
   // (seen entries + debts) and the minimal anchor-only one, both preserving
   // the measured-bytes contract (round_trip checks wire_size parity).
-  core::StabilityPiggyback pb;
-  pb.anchor = 40;
-  pb.seen = {{ProcessId(0), 17}, {ProcessId(3), 0}, {ProcessId(9), 1u << 20}};
-  pb.debts = {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}};
+  const core::StabilityPiggyback pb{
+      40,
+      {{{ProcessId(0), 17}, {ProcessId(3), 0}, {ProcessId(9), 1u << 20}},
+       {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}}};
   const auto m = std::make_shared<DataMessage>(
       ProcessId(5), 41, ViewId(3), obs::Annotation::item(7),
       std::make_shared<workload::ItemOp>(workload::OpKind::update, 7, 8, 9,
@@ -320,86 +307,6 @@ TEST_F(CodecFixture, DataPiggybackRoundTrips) {
   const auto plain_back =
       std::static_pointer_cast<const DataMessage>(round_trip(*plain));
   EXPECT_FALSE(plain_back->piggyback().has_value());
-}
-
-TEST_F(CodecFixture, DataPiggybackHardening) {
-  // Hand-built DATA frames with a hostile piggyback section: same decode
-  // contract as the standalone stability section (§6 — malformation always
-  // throws ContractViolation, never corrupts).
-  const auto frame_with_pb = [](auto&& write_pb) {
-    util::ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(MessageType::data));
-    w.u32(1);  // sender
-    w.u64(1);  // seq
-    w.u64(1);  // view
-    w.u8(0);   // AnnotationKind::none
-    w.u32(0);  // opaque payload kind
-    w.u64(0);  // zero payload bytes
-    write_pb(w);
-    return w.take();
-  };
-  // The minimal well-formed section decodes.
-  EXPECT_NO_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-    w.u8(1);   // piggyback present
-    w.u64(0);  // anchor
-    w.u64(0);  // no seen entries
-    w.u64(0);  // no debts
-  })));
-  // Presence byte must be 0 or 1.
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(2);
-               })),
-               util::ContractViolation);
-  // Absent-but-trailing and present-but-truncated both throw.
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(0);
-                 w.u64(0);  // trailing garbage after "absent"
-               })),
-               util::ContractViolation);
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(1);
-                 w.u64(0);  // anchor, then nothing
-               })),
-               util::ContractViolation);
-  // Non-ascending piggybacked debt seqs are malformed.
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(1);
-                 w.u64(0);
-                 w.u64(0);
-                 w.u64(2);  // two debts
-                 w.u64(5);
-                 w.u64(1);
-                 w.u64(5);  // same seq again
-                 w.u64(1);
-               })),
-               util::ContractViolation);
-  // A zero cover gap would claim a message purged itself.
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(1);
-                 w.u64(0);
-                 w.u64(0);
-                 w.u64(1);
-                 w.u64(5);
-                 w.u64(0);
-               })),
-               util::ContractViolation);
-  // Counts beyond the buffer are rejected before allocation.
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(1);
-                 w.u64(0);
-                 w.u64(1ULL << 59);  // seen count
-               })),
-               util::ContractViolation);
-  // A cover gap overflowing uint64 is rejected.
-  EXPECT_THROW((void)Codec::decode(frame_with_pb([](util::ByteWriter& w) {
-                 w.u8(1);
-                 w.u64(0);
-                 w.u64(0);
-                 w.u64(1);
-                 w.u64(0xFFFFFFFFFFFFFFFFULL);  // seq = 2^64 - 1
-                 w.u64(2);                      // cover wraps
-               })),
-               util::ContractViolation);
 }
 
 TEST_F(CodecFixture, ConsensusWithProposalValueRoundTrips) {
@@ -527,11 +434,12 @@ TEST_F(CodecFixture, SwimUpdateHardening) {
 
 TEST_F(CodecFixture, StabilityDigestRoundTrips) {
   core::StabilityDigestMessage::Rows rows;
-  rows.push_back({ProcessId(0), 41,
-                  {{ProcessId(0), 17}, {ProcessId(3), 0}},
-                  {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}});
+  rows.push_back(
+      {ProcessId(0), 41,
+       {{{ProcessId(0), 17}, {ProcessId(3), 0}},
+        {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}}});
   // A relayed row may usefully carry a frontier before its anchor is known.
-  rows.push_back({ProcessId(9), std::nullopt, {{ProcessId(1), 5}}, {}});
+  rows.push_back({ProcessId(9), std::nullopt, {{{ProcessId(1), 5}}, {}}});
   const core::StabilityDigestMessage m(ViewId(3), rows);
   const auto back = round_trip(m);
   const auto& digest = static_cast<const core::StabilityDigestMessage&>(*back);
@@ -539,65 +447,122 @@ TEST_F(CodecFixture, StabilityDigestRoundTrips) {
   EXPECT_EQ(digest.rows(), rows);
 }
 
-TEST_F(CodecFixture, StabilityDigestHardening) {
-  const auto digest_with_row = [](auto&& write_row) {
-    util::ByteWriter w;
+using FrameWriter = std::function<void(util::ByteWriter&)>;
+
+/// A DATA frame up to its piggyback-presence byte: sender 1, seq 1,
+/// view 1, no annotation, an empty opaque payload.
+void write_data_header(util::ByteWriter& w) {
+  w.u8(static_cast<std::uint8_t>(MessageType::data));
+  w.u32(1);
+  w.u64(1);
+  w.u64(1);
+  w.u8(0);   // AnnotationKind::none
+  w.u32(0);  // opaque payload kind
+  w.u64(0);  // zero payload bytes
+}
+
+util::Bytes frame_of(const FrameWriter& head, const FrameWriter& body) {
+  util::ByteWriter w;
+  head(w);
+  body(w);
+  return w.take();
+}
+
+TEST_F(CodecFixture, ReportSectionHardeningHoldsInEveryCarrier) {
+  // One decoder reads the report section, so every malformation must be
+  // rejected behind every carrier's header (§6: malformed input always
+  // throws ContractViolation, never corrupts).
+  const std::vector<std::pair<std::string, FrameWriter>> carriers = {
+      {"stability round",
+       [](util::ByteWriter& w) {
+         w.u8(static_cast<std::uint8_t>(MessageType::stability));
+         w.u64(1);  // view
+         w.u64(0);  // anchor
+       }},
+      {"data piggyback",
+       [](util::ByteWriter& w) {
+         write_data_header(w);
+         w.u8(1);   // piggyback present
+         w.u64(0);  // anchor
+       }},
+      {"digest row",
+       [](util::ByteWriter& w) {
+         w.u8(static_cast<std::uint8_t>(MessageType::stability_digest));
+         w.u64(1);  // view
+         w.u64(1);  // one row
+         w.u32(0);  // origin
+         w.u8(0);   // no anchor
+       }},
+  };
+  const std::vector<std::pair<std::string, FrameWriter>> malformed = {
+      {"truncated section", [](util::ByteWriter&) {}},
+      {"non-ascending debt seqs",
+       [](util::ByteWriter& w) {
+         w.u64(0);  // no seen entries
+         w.u64(2);  // two debts with the same seq
+         w.u64(5);
+         w.u64(1);
+         w.u64(5);
+         w.u64(1);
+       }},
+      {"zero cover gap (a message purged by itself)",
+       [](util::ByteWriter& w) {
+         w.u64(0);
+         w.u64(1);
+         w.u64(5);
+         w.u64(0);
+       }},
+      {"seen count beyond the buffer",
+       [](util::ByteWriter& w) { w.u64(1ULL << 59); }},
+      {"debt count beyond the buffer",
+       [](util::ByteWriter& w) {
+         w.u64(0);
+         w.u64(1ULL << 59);
+       }},
+      {"cover gap overflowing uint64",
+       [](util::ByteWriter& w) {
+         w.u64(0);
+         w.u64(1);
+         w.u64(0xFFFFFFFFFFFFFFFFULL);  // seq = 2^64 - 1
+         w.u64(2);                      // cover wraps
+       }},
+  };
+  for (const auto& [carrier, head] : carriers) {
+    EXPECT_NO_THROW((void)Codec::decode(frame_of(head, [](util::ByteWriter& w) {
+      w.u64(0);  // no seen entries
+      w.u64(0);  // no debts
+    }))) << carrier;
+    for (const auto& [what, body] : malformed) {
+      EXPECT_THROW((void)Codec::decode(frame_of(head, body)),
+                   util::ContractViolation)
+          << carrier << ": " << what;
+    }
+  }
+}
+
+TEST_F(CodecFixture, CarrierHeadersAreChecked) {
+  const auto bad = [](const FrameWriter& head, const FrameWriter& body) {
+    EXPECT_THROW((void)Codec::decode(frame_of(head, body)),
+                 util::ContractViolation);
+  };
+  // Presence bytes must be 0 or 1.
+  bad(write_data_header, [](util::ByteWriter& w) { w.u8(2); });
+  const auto digest_head = [](util::ByteWriter& w) {
     w.u8(static_cast<std::uint8_t>(MessageType::stability_digest));
     w.u64(1);  // view
-    w.u64(1);  // one row
-    write_row(w);
-    return w.take();
   };
-  // The anchor-presence flag must be 0 or 1.
-  EXPECT_THROW((void)Codec::decode(digest_with_row([](util::ByteWriter& w) {
-                 w.u32(0);  // origin
-                 w.u8(2);   // bad presence flag
-               })),
-               util::ContractViolation);
-  // Non-ascending per-row debt seqs are malformed.
-  EXPECT_THROW((void)Codec::decode(digest_with_row([](util::ByteWriter& w) {
-                 w.u32(0);
-                 w.u8(0);   // no anchor
-                 w.u64(0);  // no seen entries
-                 w.u64(2);  // two debts
-                 w.u64(5);
-                 w.u64(1);
-                 w.u64(5);  // same seq again
-                 w.u64(1);
-               })),
-               util::ContractViolation);
-  // A zero cover gap would claim a message purged itself.
-  EXPECT_THROW((void)Codec::decode(digest_with_row([](util::ByteWriter& w) {
-                 w.u32(0);
-                 w.u8(0);
-                 w.u64(0);
-                 w.u64(1);
-                 w.u64(5);
-                 w.u64(0);
-               })),
-               util::ContractViolation);
-  // Row / seen / debt counts beyond the buffer are rejected before
-  // allocation.
-  {
-    util::ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(MessageType::stability_digest));
-    w.u64(1);
-    w.u64(1ULL << 60);  // row count
-    EXPECT_THROW((void)Codec::decode(w.data()), util::ContractViolation);
-  }
-  EXPECT_THROW((void)Codec::decode(digest_with_row([](util::ByteWriter& w) {
-                 w.u32(0);
-                 w.u8(0);
-                 w.u64(1ULL << 59);  // seen count
-               })),
-               util::ContractViolation);
-  EXPECT_THROW((void)Codec::decode(digest_with_row([](util::ByteWriter& w) {
-                 w.u32(0);
-                 w.u8(0);
-                 w.u64(0);
-                 w.u64(1ULL << 59);  // debt count
-               })),
-               util::ContractViolation);
+  bad(digest_head, [](util::ByteWriter& w) {
+    w.u64(1);  // one row
+    w.u32(0);  // origin
+    w.u8(2);   // bad anchor-presence flag
+  });
+  // An absent piggyback followed by trailing bytes is garbage.
+  bad(write_data_header, [](util::ByteWriter& w) {
+    w.u8(0);
+    w.u64(0);
+  });
+  // A row count beyond the buffer is rejected before allocation.
+  bad(digest_head, [](util::ByteWriter& w) { w.u64(1ULL << 60); });
 }
 
 // ---------------------------------------------------------------------------
@@ -644,17 +609,17 @@ std::vector<util::Bytes> corpus() {
       ProcessId(4), 43, ViewId(2), obs::Annotation::none(),
       std::make_shared<workload::ItemOp>(workload::OpKind::update, 1, 2, 3,
                                          false));
-  core::StabilityPiggyback pb;
-  pb.anchor = 4;
-  pb.seen = {{ProcessId(0), 5}, {ProcessId(1), 7}};
-  pb.debts = {core::PurgeDebt{5, 6}, core::PurgeDebt{8, 11}};
-  pb_data->set_piggyback(std::move(pb));
+  pb_data->set_piggyback(core::StabilityPiggyback{
+      4,
+      {{{ProcessId(0), 5}, {ProcessId(1), 7}},
+       {core::PurgeDebt{5, 6}, core::PurgeDebt{8, 11}}}});
   out.push_back(Codec::encode(*pb_data));
   out.push_back(Codec::encode(core::InitMessage(ViewId(1), {ProcessId(4)})));
   out.push_back(Codec::encode(core::PredMessage(ViewId(2), {data})));
   out.push_back(Codec::encode(core::StabilityMessage(
-      ViewId(2), 4, {{ProcessId(0), 5}, {ProcessId(1), 7}},
-      {core::PurgeDebt{5, 6}, core::PurgeDebt{8, 11}})));
+      ViewId(2), 4,
+      {{{ProcessId(0), 5}, {ProcessId(1), 7}},
+       {core::PurgeDebt{5, 6}, core::PurgeDebt{8, 11}}})));
   out.push_back(Codec::encode(consensus::ConsensusMessage(
       consensus::InstanceId(2), 1, consensus::Phase::propose,
       std::make_shared<core::ProposalValue>(
@@ -669,9 +634,55 @@ std::vector<util::Bytes> corpus() {
       fd::SwimAckMessage(9, ProcessId(3), 4, swim_updates_corpus())));
   out.push_back(Codec::encode(core::StabilityDigestMessage(
       ViewId(2),
-      {{ProcessId(0), 41, {{ProcessId(0), 17}}, {core::PurgeDebt{42, 44}}},
-       {ProcessId(1), std::nullopt, {{ProcessId(1), 5}}, {}}})));
+      {{ProcessId(0), 41, {{{ProcessId(0), 17}}, {core::PurgeDebt{42, 44}}}},
+       {ProcessId(1), std::nullopt, {{{ProcessId(1), 5}}, {}}}})));
   return out;
+}
+
+std::string to_hex(const util::Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0x0F]);
+  }
+  return out;
+}
+
+TEST_F(CodecFixture, CorpusMatchesPinnedWireBytes) {
+  // Every corpus frame, byte for byte.  wire_size() is the encoder's own
+  // count, so no size check can notice a format change; this golden does.
+  // A mismatch here is a wire-format change and must be deliberate.
+  const std::vector<std::string> golden = {
+      // data, k-enumeration annotation, ItemOp, no piggyback
+      "0103290203100280010b810b0d0c0000000000000000",
+      // data with a stability piggyback
+      "01042b0200010b0101030200000000000000010402000501070205010803",
+      // init
+      "02010104",
+      // pred nesting the first data frame
+      "0302010103290203100280010b810b0d0c0000000000000000",
+      // stability round
+      "04020402000501070205010803",
+      // consensus proposal carrying a ProposalValue
+      "050201010101011b03020001010103290203100280010b810b0d0c0000000000000000",
+      // heartbeat
+      "06",
+      // swim ping
+      "070903010000c80101808040030207",
+      // swim ping-req
+      "080a0203010000c80101808040030207",
+      // swim ack
+      "0909030403010000c80101808040030207",
+      // stability digest, anchored and anchor-less rows
+      "0a0202000129010011012a02010001010500",
+  };
+  const auto frames = corpus();
+  ASSERT_EQ(frames.size(), golden.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(to_hex(frames[i]), golden[i]) << "corpus frame " << i;
+  }
 }
 
 TEST_F(CodecFixture, EveryStrictPrefixThrows) {

@@ -256,11 +256,9 @@ TEST(StabilityLedger, WireByteCountersTrackTheMaterializedSnapshot) {
 
   t.record_own_debt(1, 2);
   t.record_own_debt(300, 1000);
-  const auto round = t.take_snapshot();
+  const auto report = t.take_snapshot();
   std::size_t debt_bytes = 0;
-  for (const auto& d : round.debts) {
-    debt_bytes += StabilityMessage::debt_wire_size(d);
-  }
+  for (const auto& d : report.debts) debt_bytes += purge_debt_wire_size(d);
   EXPECT_EQ(t.debt_wire_bytes(), debt_bytes);
 
   t.reset();

@@ -365,8 +365,8 @@ TEST(CrossBackendEquivalence, IdenticalDeliverySequencesAndByteCounters) {
 
   // Application-visible history identical per process, event by event,
   // and the measured byte counters agree: the UDP backend's bytes are
-  // counted on real encoded frames, the sim's on codec-checked
-  // wire_size() — same numbers.
+  // counted on real encoded frames, the sim's on wire_size(), the codec's
+  // own count — same numbers.
   expect_equivalent(sim_run, udp_run);
   // Every delivered frame really crossed the kernel, reliably.
   EXPECT_GT(udp_run.lane.datagrams_sent, 0u);

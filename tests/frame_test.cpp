@@ -91,8 +91,8 @@ TEST(SharedFrame, MatchesEncodeForEveryMessageType) {
   // stability with seen map and purge debts
   expect_frame_equals_encode(core::StabilityMessage(
       ViewId(2), 41,
-      {{ProcessId(0), 17}, {ProcessId(3), 0}, {ProcessId(9), 1u << 20}},
-      {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}));
+      {{{ProcessId(0), 17}, {ProcessId(3), 0}, {ProcessId(9), 1u << 20}},
+       {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}}));
 
   // consensus (opaque value and null value)
   expect_frame_equals_encode(consensus::ConsensusMessage(

@@ -54,27 +54,6 @@ TEST(PeriodicSampler, SamplesAtPeriod) {
   EXPECT_DOUBLE_EQ(sampler.series().max(), 8.0);
 }
 
-TEST(Histogram, SharesAndPercentiles) {
-  Histogram h;
-  for (int i = 0; i < 60; ++i) h.add(1);
-  for (int i = 0; i < 30; ++i) h.add(5);
-  for (int i = 0; i < 10; ++i) h.add(50);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_DOUBLE_EQ(h.share(1), 0.6);
-  EXPECT_DOUBLE_EQ(h.share(5), 0.3);
-  EXPECT_DOUBLE_EQ(h.share(2), 0.0);
-  EXPECT_EQ(h.percentile(50), 1);
-  EXPECT_EQ(h.percentile(75), 5);
-  EXPECT_EQ(h.percentile(99), 50);
-}
-
-TEST(Histogram, EmptyIsSafe) {
-  Histogram h;
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.share(1), 0.0);
-  EXPECT_EQ(h.percentile(50), 0);
-}
-
 TEST(Table, FormatsAlignedColumns) {
   Table t({"a", "long-header", "c"});
   t.row({"1", "2", "3"}).row({"xxxx", "y", "zz"});

@@ -92,6 +92,24 @@ TEST(Bytes, VarintSizeMatchesEncoding) {
   }
 }
 
+TEST(Bytes, CountingWriterCountsWhatAWriterAppends) {
+  const auto write_all = [](ByteWriter& w) {
+    w.u8(7);
+    w.u32(300);
+    w.u64(~0ULL);
+    w.fixed64(1);
+    w.str("counted, not stored");
+    w.zeros(5);
+  };
+  ByteWriter real;
+  write_all(real);
+  ByteWriter counting = ByteWriter::counting();
+  write_all(counting);
+  EXPECT_TRUE(counting.counts_only());
+  EXPECT_EQ(counting.size(), real.size());
+  EXPECT_TRUE(counting.data().empty());
+}
+
 TEST(Bytes, Fixed64RoundTrip) {
   ByteWriter w;
   w.fixed64(0x0123456789ABCDEFULL);
