@@ -102,44 +102,48 @@ class IntValue final : public consensus::ValueBase {
 
 class MuxEndpoint final : public net::Endpoint {
  public:
-  explicit MuxEndpoint(net::ProcessId self) : mux(self) {}
+  MuxEndpoint(sim::Simulator& sim, net::Network& network, net::ProcessId self)
+      : fd(sim, network, self, sim::Duration::millis(10)),
+        mux(network, fd, self) {
+    network.attach(self, *this);
+  }
   bool on_message(net::ProcessId from, const net::MessagePtr& m,
                   net::Lane) override {
     mux.on_message(from, m);
     return true;
   }
+  fd::OracleDetector fd;
   consensus::Mux mux;
 };
 
 void BM_Consensus_Decide(benchmark::State& state) {
-  // Full 5-participant Chandra-Toueg instance, propose to decision.
+  // Full 5-participant Chandra-Toueg instance, propose to decision; each
+  // decided instance is closed, as the view-change protocol does.
   const std::size_t n = 5;
   sim::Simulator sim;
   net::Network network(sim, {});
   std::vector<std::unique_ptr<MuxEndpoint>> procs;
-  std::vector<std::unique_ptr<fd::OracleDetector>> fds;
   std::vector<net::ProcessId> pids;
   for (std::size_t i = 0; i < n; ++i) {
     pids.push_back(net::ProcessId(static_cast<std::uint32_t>(i)));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    procs.push_back(std::make_unique<MuxEndpoint>(pids[i]));
-    network.attach(pids[i], *procs[i]);
-    fds.push_back(std::make_unique<fd::OracleDetector>(
-        sim, network, pids[i], sim::Duration::millis(10)));
+    procs.push_back(std::make_unique<MuxEndpoint>(sim, network, pids[i]));
   }
   std::uint64_t instance = 0;
   for (auto _ : state) {
     ++instance;
+    const consensus::InstanceId id(instance);
     int decided = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      auto& inst = procs[i]->mux.open(
-          network, *fds[i], consensus::InstanceId(instance), pids,
-          [&decided](const consensus::ValuePtr&) { ++decided; });
-      inst.propose(std::make_shared<IntValue>(static_cast<int>(i)));
+      procs[i]->mux.open(id, pids,
+                         [&decided](const consensus::ValuePtr&) { ++decided; });
+      procs[i]->mux.propose(id,
+                            std::make_shared<IntValue>(static_cast<int>(i)));
     }
     sim.run();
     if (decided != static_cast<int>(n)) state.SkipWithError("no decision");
+    for (auto& p : procs) p->mux.close_below(id.next());
   }
   state.SetItemsProcessed(state.iterations());
 }

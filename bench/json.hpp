@@ -6,6 +6,8 @@
 // without scraping the human-readable tables.
 #pragma once
 
+#include <sched.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -128,16 +131,48 @@ class WallClock {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Build provenance for the `meta` key: which commit, compiler and flags
-/// produced a JSON (committed baselines are meaningless without it).  The
-/// macros come from CMake (target_compile_definitions on svs_bench_common);
-/// each degrades to "unknown" when absent so ad-hoc compiles still build.
+/// The first "model name" of /proc/cpuinfo, or "unknown" where there is
+/// none.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto value = line.find_first_not_of(" \t", colon + 1);
+    return value == std::string::npos ? "unknown" : line.substr(value);
+  }
+  return "unknown";
+}
+
+/// CPUs this process may run on, as nproc(1) counts them.
+inline unsigned cpu_count() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
+
+/// Build and host provenance for the `meta` key: which commit (and whether
+/// the tree was dirty), compiler, flags, CPU model and CPU count produced a
+/// JSON (committed baselines are meaningless without it).  The build
+/// macros come from CMake (target_compile_definitions on
+/// svs_bench_common); each degrades to "unknown" when absent so ad-hoc
+/// compiles still build.
 inline std::string bench_meta_json() {
   JsonObject meta;
 #ifdef SVS_BENCH_GIT_SHA
   meta.add("git_sha", SVS_BENCH_GIT_SHA);
 #else
   meta.add("git_sha", "unknown");
+#endif
+#ifdef SVS_BENCH_GIT_DIRTY
+  meta.add("git_dirty", SVS_BENCH_GIT_DIRTY != 0);
+#else
+  meta.add("git_dirty", "unknown");
 #endif
 #ifdef __VERSION__
   meta.add("compiler", __VERSION__);
@@ -154,6 +189,8 @@ inline std::string bench_meta_json() {
 #else
   meta.add("cxx_flags", "unknown");
 #endif
+  meta.add("cpu_model", cpu_model());
+  meta.add("nproc", static_cast<double>(cpu_count()));
   return meta.render();
 }
 

@@ -6,7 +6,8 @@
 
 namespace svs::consensus {
 
-Instance::Instance(net::Transport& network, fd::FailureDetector& detector,
+Instance::Instance(net::Transport& network,
+                   const fd::FailureDetector& detector,
                    net::ProcessId self,
                    std::vector<net::ProcessId> participants, InstanceId id,
                    DecideCallback on_decide)
@@ -21,11 +22,9 @@ Instance::Instance(net::Transport& network, fd::FailureDetector& detector,
   bool member = false;
   for (const auto p : participants_) member = member || p == self_;
   SVS_REQUIRE(member, "self must be a participant");
-  // Phase-3 progress depends on suspicion changes; re-evaluate guards on
-  // every failure-detector transition.  The instance must outlive the
-  // detector subscription, which holds because the Mux never destroys
-  // instances (see mux.hpp).
-  fd_.subscribe([this] { advance(); });
+  // No detector subscription of its own: phase-3 progress depends on
+  // suspicion changes, and the owning Mux forwards each one through
+  // on_suspicion_change() for as long as the instance is open.
 }
 
 net::ProcessId Instance::coordinator(Round r) const {
@@ -82,7 +81,15 @@ void Instance::on_message(net::ProcessId from, const ConsensusMessage& m) {
     case Phase::nack:
       break;  // progress is driven by this process's own failure detector
     case Phase::decide:
-      decide(m.value());
+      if (m.value() != nullptr) {
+        decide(m.round(), m.value());
+      } else if (const auto proposal = proposals_.find(m.round());
+                 proposal != proposals_.end()) {
+        // Along coordinator(r)'s FIFO link the value is the PROPOSE(r)
+        // stored here; without one the DECIDE is ignored, like a PROPOSE
+        // from a non-coordinator.
+        decide(m.round(), proposal->second);
+      }
       return;
   }
   advance();
@@ -119,7 +126,7 @@ void Instance::advance() {
     // Phase 4 (coordinator, any past round): majority of ACKs decides.
     for (const auto& [r, who] : acks_) {
       if (who.size() >= majority() && proposed_in_round_[r]) {
-        decide(proposals_.at(r));
+        decide(r, proposals_.at(r));
         return;
       }
     }
@@ -152,16 +159,17 @@ void Instance::advance() {
   }
 }
 
-void Instance::decide(const ValuePtr& value) {
+void Instance::decide(Round round, const ValuePtr& value) {
   if (decided()) return;
   SVS_ASSERT(value != nullptr, "decision value must not be null");
   decision_ = value;
-  if (!relayed_decide_) {
-    relayed_decide_ = true;
-    // Reliable broadcast: whoever decides first makes sure everyone hears.
-    for (const auto p : participants_) {
-      if (p != self_) send(p, Phase::decide, round_, value, 0);
-    }
+  // Reliable broadcast: whoever decides first makes sure everyone hears.
+  // coordinator(round) already sent PROPOSE(round) down each of its links
+  // and holds its own proposal, so its links carry DECIDE(round) bare.
+  const net::ProcessId c = coordinator(round);
+  for (const auto p : participants_) {
+    if (p == self_) continue;
+    send(p, Phase::decide, round, self_ == c || p == c ? nullptr : value, 0);
   }
   on_decide_(decision_);
 }

@@ -11,9 +11,16 @@
 //              sends ACK — or comes to suspect c — sends NACK; either way
 //              it then enters round r+1
 //     phase 4  c, upon a majority of ACKs for round r (whenever they
-//              arrive), reliably broadcasts (DECIDE, v)
+//              arrive), reliably broadcasts (DECIDE, r, v)
 //
 //   reliable broadcast: on first DECIDE, relay DECIDE to all, then decide.
+//
+// A DECIDE(r) travelling from or to c omits v (DESIGN.md §6): c sent
+// PROPOSE(r, v) to every participant before it could decide, on the same
+// FIFO control link, and c holds its own proposal, so the addressee
+// decides its stored PROPOSE(r).  Relays between the other participants
+// carry v: they are what delivers the decision past a c that crashed in
+// the middle of its broadcast.
 //
 // Safety (agreement, validity, integrity) holds with any failure detector;
 // termination needs ◊S behaviour and a majority of correct participants —
@@ -22,13 +29,14 @@
 //
 // The implementation is event-driven: every input (message, suspicion
 // change, propose call) mutates the tally state and then `advance()`
-// re-evaluates the guards of the current round.
+// re-evaluates the guards of the current round.  Instances are created,
+// fed and closed by a consensus::Mux (mux.hpp), which also forwards the
+// failure detector's transitions.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -36,7 +44,6 @@
 #include "consensus/value.hpp"
 #include "fd/failure_detector.hpp"
 #include "net/transport.hpp"
-#include "sim/simulator.hpp"
 
 namespace svs::consensus {
 
@@ -50,7 +57,7 @@ class Instance {
  public:
   using DecideCallback = std::function<void(const ValuePtr&)>;
 
-  Instance(net::Transport& network, fd::FailureDetector& detector,
+  Instance(net::Transport& network, const fd::FailureDetector& detector,
            net::ProcessId self, std::vector<net::ProcessId> participants,
            InstanceId id, DecideCallback on_decide);
 
@@ -64,6 +71,10 @@ class Instance {
 
   /// Routes a consensus message for this instance.
   void on_message(net::ProcessId from, const ConsensusMessage& message);
+
+  /// Re-evaluates the current round's guards after the suspect set
+  /// changed (phase 3 may now NACK).
+  void on_suspicion_change() { advance(); }
 
   [[nodiscard]] bool decided() const { return decision_ != nullptr; }
   [[nodiscard]] const ValuePtr& decision() const { return decision_; }
@@ -85,10 +96,10 @@ class Instance {
   void broadcast(Phase phase, Round round, const ValuePtr& value, Round ts);
   void enter_round(Round r);
   void advance();
-  void decide(const ValuePtr& value);
+  void decide(Round round, const ValuePtr& value);
 
   net::Transport& net_;
-  fd::FailureDetector& fd_;
+  const fd::FailureDetector& fd_;
   net::ProcessId self_;
   std::vector<net::ProcessId> participants_;
   InstanceId id_;
@@ -99,7 +110,6 @@ class Instance {
   Round round_ = 0;             // current round
   bool sent_estimate_ = false;  // for the current round
   bool answered_ = false;       // ACK or NACK sent in the current round
-  bool relayed_decide_ = false;
   ValuePtr decision_;
 
   // Tallies, keyed by round (messages may arrive for rounds this process

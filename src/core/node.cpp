@@ -54,7 +54,7 @@ Node::Node(sim::Simulator& simulator, net::Transport& network,
       observer_(observer),
       view_(std::move(initial)),
       queue_(config_.relation, self, observer),
-      consensus_mux_(self) {
+      consensus_mux_(network, detector, self) {
   SVS_REQUIRE(config_.relation != nullptr, "a relation oracle is required");
   SVS_REQUIRE(view_.contains(self_), "initial view must contain this node");
   // This node's own channel anchor: its covered frontier starts just below
@@ -769,15 +769,14 @@ void Node::try_propose() {
     return;
   }
 
-  auto* instance =
-      consensus_mux_.find(consensus::InstanceId(view_.id().value()));
-  SVS_ASSERT(instance != nullptr, "consensus instance must be open by t5");
-  instance->propose(change_.take_proposal(view_));
+  // The instance was opened at t5.
+  consensus_mux_.propose(consensus::InstanceId(view_.id().value()),
+                         change_.take_proposal(view_));
 }
 
 void Node::open_consensus() {
   consensus_mux_.open(
-      net_, fd_, consensus::InstanceId(view_.id().value()), view_.members(),
+      consensus::InstanceId(view_.id().value()), view_.members(),
       [this](const consensus::ValuePtr& value) {
         const auto decided =
             std::dynamic_pointer_cast<const ProposalValue>(value);
@@ -791,6 +790,12 @@ void Node::install(const ProposalValue& decided) {
   SVS_ASSERT(change_.blocked() && !excluded_, "install outside a view change");
   SVS_ASSERT(decided.next_view().id() == view_.id().next(),
              "consensus decided a non-successor view");
+  // This node leaves a view only through that view's decision, so every
+  // instance below the next view has decided here: close them.  Safe from
+  // inside the deciding instance's callback: the Mux destroys closed
+  // instances only once its outermost call returns.
+  consensus_mux_.close_below(
+      consensus::InstanceId(decided.next_view().id().value()));
 
   // Flush: append the agreed messages this process is missing, in
   // (sender, seq) order.  A message is skipped when (a) it is still here,

@@ -188,6 +188,10 @@ class Node final : public net::Endpoint {
   [[nodiscard]] const StabilityLedger& stability_ledger() const {
     return stability_;
   }
+  /// The view-change consensus instances (lifetime asserts).
+  [[nodiscard]] const consensus::Mux& consensus_mux() const {
+    return consensus_mux_;
+  }
 
   /// Peers whose outgoing buffer from this node is at capacity (the
   /// processes a blockage watchdog would propose to exclude).

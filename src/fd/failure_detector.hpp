@@ -33,6 +33,12 @@ class FailureDetector {
   /// answered").
   void subscribe(Listener listener);
 
+  /// Listeners subscribed so far (a subscription is never removed, so
+  /// subscribers must subscribe once, not once per use).
+  [[nodiscard]] std::size_t listener_count() const {
+    return listeners_.size();
+  }
+
  protected:
   /// Derived classes call this after mutating their suspect set.
   void notify_changed();

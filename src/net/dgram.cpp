@@ -5,11 +5,8 @@
 namespace svs::net {
 namespace {
 
-constexpr std::uint8_t kFlagVerdictValid = 0x01;
-constexpr std::uint8_t kFlagVerdictAccept = 0x02;
-constexpr std::uint8_t kFlagWindowProbe = 0x04;
-constexpr std::uint8_t kKnownFlags =
-    kFlagVerdictValid | kFlagVerdictAccept | kFlagWindowProbe;
+constexpr std::uint8_t kFlagWindowProbe = 0x01;
+constexpr std::uint8_t kKnownFlags = kFlagWindowProbe;
 
 void write_ack(util::ByteWriter& w, const AckBlock& ack) {
   w.u64(ack.cum);
@@ -27,12 +24,7 @@ void write_ack(util::ByteWriter& w, const AckBlock& ack) {
     prev_end = r.last;
   }
   w.u32(ack.window);
-  std::uint8_t flags = 0;
-  if (ack.verdict_valid) flags |= kFlagVerdictValid;
-  if (ack.verdict_accept) flags |= kFlagVerdictAccept;
-  if (ack.window_probe) flags |= kFlagWindowProbe;
-  w.u8(flags);
-  w.u64(ack.verdict_seq);
+  w.u8(ack.window_probe ? kFlagWindowProbe : 0);
 }
 
 AckBlock read_ack(util::ByteReader& r) {
@@ -58,14 +50,7 @@ AckBlock read_ack(util::ByteReader& r) {
   ack.window = r.u32();
   const std::uint8_t flags = r.u8();
   SVS_REQUIRE((flags & ~kKnownFlags) == 0, "unknown datagram flag bits");
-  ack.verdict_valid = (flags & kFlagVerdictValid) != 0;
-  ack.verdict_accept = (flags & kFlagVerdictAccept) != 0;
   ack.window_probe = (flags & kFlagWindowProbe) != 0;
-  SVS_REQUIRE(ack.verdict_valid || !ack.verdict_accept,
-              "verdict_accept without verdict_valid");
-  ack.verdict_seq = r.u64();
-  SVS_REQUIRE(ack.verdict_valid || ack.verdict_seq == 0,
-              "verdict_seq without verdict_valid");
   return ack;
 }
 

@@ -28,13 +28,12 @@
 // The AckBlock always describes the link flowing in the OPPOSITE direction
 // of the datagram that carries it (the receiver's view of sender->receiver
 // traffic): cumulative frontier, up to kMaxSackRanges delta-coded selective
-// ranges strictly above it, the advertised receive window, and an optional
-// delivery verdict (the all-local backend's synchronous accept/refuse
-// round-trip — udp_transport.hpp).
+// ranges strictly above it, the advertised receive window, and the
+// zero-window probe flag.
 //
 //   cum (varint), sack_count (varint), per range gap + len (varints, both
 //   >= 1; range starts at previous_end + gap + 1), window (varint),
-//   flags u8, verdict_seq (varint)
+//   flags u8 (bit 0: window probe; every other bit must be clear)
 //
 // Decoding is hardened for untrusted bytes exactly like net::Codec
 // (tests/codec_test.cpp fuzzes it): bad magic, unknown kinds or flag bits,
@@ -69,13 +68,8 @@ struct AckBlock {
   /// Receive window the peer may keep in flight (0 = stalled; the sender
   /// probes until it reopens).
   std::uint32_t window = 0;
-  /// Synchronous-crossing verdict: whether the frame with link seq
-  /// `verdict_seq` was accepted by the endpoint (all-local backend only).
-  bool verdict_valid = false;
-  bool verdict_accept = false;
   /// Zero-window probe: "reply with your current ack state".
   bool window_probe = false;
-  std::uint64_t verdict_seq = 0;
 };
 
 /// One decoded UDP datagram.  Kind-specific fields are zero/empty for the

@@ -796,15 +796,12 @@ TEST_F(CodecFixture, ByteMutationFuzzNeverCrashes) {
 // ---------------------------------------------------------------------------
 
 /// One valid datagram per kind, with every optional feature exercised:
-/// delta-coded sack ranges, verdict piggyback, window probe, roster list.
+/// delta-coded sack ranges, window probe, roster list.
 std::vector<util::Bytes> dgram_corpus() {
   AckBlock rich;
   rich.cum = 9;
   rich.sacks = {{11, 13}, {17, 17}, {20, 24}};
   rich.window = 32;
-  rich.verdict_valid = true;
-  rich.verdict_accept = true;
-  rich.verdict_seq = 9;
 
   AckBlock probe;
   probe.cum = 3;
@@ -846,9 +843,8 @@ TEST_F(CodecFixture, DatagramCorpusRoundTrips) {
     ASSERT_EQ(d.ack.sacks.size(), 3u);
     EXPECT_EQ(d.ack.sacks[2].first, 20u);
     EXPECT_EQ(d.ack.sacks[2].last, 24u);
-    EXPECT_TRUE(d.ack.verdict_valid);
-    EXPECT_TRUE(d.ack.verdict_accept);
-    EXPECT_EQ(d.ack.verdict_seq, 9u);
+    EXPECT_EQ(d.ack.window, 32u);
+    EXPECT_FALSE(d.ack.window_probe);
     // The payload is a complete codec frame: it must decode in turn.
     ASSERT_EQ(d.payloads.size(), 1u);
     const MessagePtr m = Codec::decode(d.payloads[0]);
@@ -872,7 +868,7 @@ TEST_F(CodecFixture, DatagramCorpusRoundTrips) {
     EXPECT_EQ(d.kind, Datagram::Kind::ack);
     EXPECT_TRUE(d.ack.window_probe);
     EXPECT_EQ(d.ack.window, 0u);
-    EXPECT_FALSE(d.ack.verdict_valid);
+    EXPECT_EQ(d.ack.cum, 3u);
   }
   {
     const Datagram d = Datagram::decode(frames[2]);
@@ -892,8 +888,9 @@ TEST_F(CodecFixture, DatagramCorpusRoundTrips) {
 TEST_F(CodecFixture, DatagramBatchBoundsThrow) {
   // Hand-built data datagrams probing the batch framing limits: the frame
   // count must be 1..kMaxBatchFrames, every length must land inside the
-  // datagram, and the frames must fill it exactly.
-  const auto data_dgram = [](auto&& write_body) {
+  // datagram, and the frames must fill it exactly.  The ack flags byte
+  // admits the window-probe bit alone.
+  const auto data_dgram = [](auto&& write_body, std::uint8_t flags = 0) {
     util::ByteWriter w;
     w.u8(Datagram::kMagic);
     w.u8(1);   // Kind::data
@@ -904,8 +901,7 @@ TEST_F(CodecFixture, DatagramBatchBoundsThrow) {
     w.u64(0);  // ack.cum
     w.u64(0);  // no sack ranges
     w.u32(8);  // window
-    w.u8(0);   // flags
-    w.u64(0);  // verdict_seq
+    w.u8(flags);
     write_body(w);
     return w.take();
   };
@@ -917,6 +913,17 @@ TEST_F(CodecFixture, DatagramBatchBoundsThrow) {
     w.u64(1);
     w.u8(0xBB);
   })));
+  const auto one_frame = [](util::ByteWriter& w) {
+    w.u64(1);
+    w.u64(1);
+    w.u8(0xAA);
+  };
+  EXPECT_TRUE(Datagram::decode(data_dgram(one_frame, 0x01)).ack.window_probe);
+  for (const std::uint8_t flags : {0x02, 0x04, 0x80}) {
+    EXPECT_THROW((void)Datagram::decode(data_dgram(one_frame, flags)),
+                 util::ContractViolation)
+        << "flags " << int{flags};
+  }
   // Zero frames: a data datagram must carry at least one.
   EXPECT_THROW((void)Datagram::decode(data_dgram([](util::ByteWriter& w) {
                  w.u64(0);

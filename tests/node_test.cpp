@@ -1,6 +1,8 @@
 // Behavioural tests for the SVS protocol node (Figure 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -455,6 +457,72 @@ TEST(Node, ConsecutiveViewChanges) {
   for (std::size_t i = 0; i < 3; ++i) g.drain(i);
   EXPECT_EQ(checker.verify(), std::vector<std::string>{});
   EXPECT_EQ(checker.verify_strict_vs(), std::vector<std::string>{});
+}
+
+TEST(Node, ViewChangesCloseTheirConsensusInstances) {
+  // Each install closes the consensus instances below the new view, so a
+  // long run of view changes under load leaves every node holding at most
+  // its current view's instance — and no more failure-detector listeners
+  // than after the first change: the Mux forwards suspicions through one
+  // subscription instead of one per instance.
+  constexpr std::uint64_t kChanges = 200;
+  sim::Simulator sim;
+  SpecChecker checker(std::make_shared<obs::EmptyRelation>());
+  auto cfg = base_config(std::make_shared<obs::EmptyRelation>(), &checker);
+  cfg.size = 4;
+  Group g(sim, cfg);
+  std::size_t most_open = 0;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    g.node(i).set_deliverable_callback([&g, i] { g.drain(i); });
+    g.drain(i);
+    g.node(i).subscribe_install([&g, &most_open, i](const View&) {
+      most_open =
+          std::max(most_open, g.node(i).consensus_mux().open_instances());
+    });
+  }
+  // Paced load: one multicast every millisecond, senders in rotation (a
+  // sender blocked by a view change just skips its turn).
+  int sent = 0;
+  std::function<void()> produce = [&] {
+    if (g.node(0).current_view().id().value() >= kChanges) return;
+    (void)g.node(static_cast<std::size_t>(sent) % g.size())
+        .multicast(blob(sent), obs::Annotation::none());
+    ++sent;
+    sim.schedule_after(sim::Duration::millis(1), produce);
+  };
+  produce();
+  std::vector<std::size_t> listeners;
+  for (std::uint64_t change = 0; change < kChanges; ++change) {
+    sim.run_until(sim.now() + sim::Duration::millis(10));
+    const auto initiator = static_cast<std::size_t>(change % g.size());
+    ASSERT_TRUE(g.node(initiator).request_view_change({}));
+    const auto deadline = sim.now() + sim::Duration::seconds(1.0);
+    while (g.node(initiator).current_view().id().value() <= change &&
+           sim.now() < deadline) {
+      sim.run_until(sim.now() + sim::Duration::millis(1));
+    }
+    ASSERT_EQ(g.node(initiator).current_view().id(), ViewId(change + 1));
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      ASSERT_LE(g.node(i).consensus_mux().open_instances(), 1u)
+          << "node " << i << " after change " << change;
+      if (change == 0) {
+        listeners.push_back(g.detector(i).listener_count());
+      } else {
+        ASSERT_EQ(g.detector(i).listener_count(), listeners[i])
+            << "node " << i << " after change " << change;
+      }
+    }
+  }
+  sim.run();
+  EXPECT_LE(most_open, 1u);
+  EXPECT_GT(sent, static_cast<int>(kChanges));
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g.node(i).current_view().id(), ViewId(kChanges));
+    EXPECT_EQ(g.node(i).stats().views_installed, kChanges);
+    EXPECT_LE(g.node(i).consensus_mux().open_instances(), 1u);
+    g.drain(i);
+  }
+  EXPECT_EQ(checker.verify(), std::vector<std::string>{});
 }
 
 TEST(Node, ViewChangeLatencyRecorded) {

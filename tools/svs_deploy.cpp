@@ -18,6 +18,9 @@
 //   * under forced loss, the repair provably happened (retransmissions >
 //     0) and no datagram was ever delivered corrupt (malformed == 0).
 //
+// It also prints each survivor's peak RSS (`maxrss_mb` in its report), so
+// memory that grows with the run shows up without a debugger.
+//
 //   svs_deploy --n=5 --kill=2                      # crash survival
 //   svs_deploy --n=5 --kill=1 --loss=200           # + 20% datagram loss
 //   svs_deploy --n=3 --kill=0 --duration-ms=4000   # quick smoke
@@ -135,11 +138,19 @@ struct Report {
   std::vector<std::string> views;
   std::vector<std::string> history;
 
-  [[nodiscard]] std::uint64_t number(const std::string& key) const {
+  /// Where the value of `key` starts in `raw`, or nullptr without one.
+  [[nodiscard]] const char* value_of(const std::string& key) const {
     const std::string needle = "\"" + key + "\": ";
     const auto at = raw.find(needle);
-    if (at == std::string::npos) return 0;
-    return std::strtoull(raw.c_str() + at + needle.size(), nullptr, 10);
+    return at == std::string::npos ? nullptr : raw.c_str() + at + needle.size();
+  }
+  [[nodiscard]] std::uint64_t number(const std::string& key) const {
+    const char* value = value_of(key);
+    return value == nullptr ? 0 : std::strtoull(value, nullptr, 10);
+  }
+  [[nodiscard]] double real(const std::string& key) const {
+    const char* value = value_of(key);
+    return value == nullptr ? 0.0 : std::strtod(value, nullptr);
   }
   [[nodiscard]] std::string text(const std::string& key) const {
     const std::string needle = "\"" + key + "\": \"";
@@ -327,6 +338,8 @@ int main(int argc, char** argv) {
           "survivor " + std::to_string(id) + " produced messages");
     check(reports[id].number("malformed_datagrams") == 0,
           "survivor " + std::to_string(id) + " saw no malformed datagrams");
+    std::printf("  survivor %u: peak RSS %.1f MB\n", id,
+                reports[id].real("maxrss_mb"));
   }
   for (std::uint32_t id = first_victim; id < options.n; ++id) {
     check(!read_report(metrics[id]).present,

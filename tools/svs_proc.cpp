@@ -17,10 +17,13 @@
 // The process floods multicasts for --produce-ms of its --duration-ms run,
 // then quiesces so every surviving process converges before shutdown.  On
 // SIGTERM/SIGINT it stops the driver, flushes a metrics JSON (view
-// sequence, delivery history, lane/protocol counters) to --metrics and
+// sequence, delivery history, lane/protocol counters, peak RSS) to
+// --metrics and
 // exits 0 — so ONLY kill -9 models a crash.  svs_deploy asserts view
 // synchrony and per-sender delivery agreement across the survivors'
 // metrics files.
+#include <sys/resource.h>
+
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -174,6 +177,13 @@ struct Metrics {
   svs::core::NodeStats node;
 };
 
+/// Peak resident set size of this process, in MB (Linux reports KB).
+double peak_rss_mb() {
+  rusage usage{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 /// Atomic flush: write to a temp file, rename into place, so svs_deploy
 /// never reads a half-written report (a kill -9 victim leaves either
 /// nothing or a stale temp behind, both of which read as "crashed").
@@ -215,7 +225,8 @@ bool write_metrics(const Metrics& m) {
                                          m.lane.syscalls_recvd)
                : 0.0)
        << ",\n";
-    os << "  \"wheel_cascades\": " << m.lane.wheel_cascades << "\n";
+    os << "  \"wheel_cascades\": " << m.lane.wheel_cascades << ",\n";
+    os << "  \"maxrss_mb\": " << peak_rss_mb() << "\n";
     os << "}\n";
     if (!os) return false;
   }
