@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/random.hpp"
 #include "util/pool.hpp"
 
 namespace svs::core {
@@ -31,14 +32,11 @@ constexpr std::size_t kDigestRingFanout = 2;
 // crashed member stays silent and costs the change at most this long.
 constexpr sim::Duration kPredGrace = sim::Duration::millis(30);
 
-/// splitmix64 finalizer — the same seed-free mixing the runtime::HashRing
-/// placement uses, so the digest ring's member order is deterministic
-/// across platforms and runs.
-std::uint64_t ring_mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+/// The digest ring's position of a member: sim::splitmix64 of its id, so
+/// the member order is deterministic across platforms and runs.
+std::uint64_t ring_mix(net::ProcessId id) {
+  std::uint64_t state = id.value();
+  return sim::splitmix64(state);
 }
 
 }  // namespace
@@ -87,8 +85,8 @@ void Node::compute_ring_successors() {
                                    view_.members().end());
   std::sort(ring.begin(), ring.end(),
             [](net::ProcessId a, net::ProcessId b) {
-              const auto ha = ring_mix(a.value());
-              const auto hb = ring_mix(b.value());
+              const auto ha = ring_mix(a);
+              const auto hb = ring_mix(b);
               if (ha != hb) return ha < hb;
               return a < b;
             });

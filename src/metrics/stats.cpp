@@ -8,24 +8,9 @@
 namespace svs::metrics {
 
 Stats Stats::snapshot() {
-  const util::PoolStats pools = util::Pool::aggregate();
+  const util::PoolStats pools = util::Pool::local().stats();
   return Stats{pools.hits, pools.misses, pools.bytes_recycled};
 }
-
-void Summary::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++count_;
-}
-
-double Summary::mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
-double Summary::min() const { return min_; }
-double Summary::max() const { return max_; }
 
 void TimeWeightedMean::record(sim::TimePoint now, double x) {
   SVS_REQUIRE(now >= last_, "samples must be time-ordered");

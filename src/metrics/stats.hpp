@@ -9,23 +9,6 @@
 
 namespace svs::metrics {
 
-/// Mean/min/max/count over plain samples.
-class Summary {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
- private:
-  std::size_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Time-weighted average of a piecewise-constant signal (e.g. buffer
 /// occupancy): each add() records the value holding *since* the previous
 /// add.
@@ -68,12 +51,13 @@ class PeriodicSampler {
   sim::EventId pending_{};
 };
 
-/// Process-wide allocator counters: the pooled hot-path allocator
-/// (util/pool.hpp) counts free-list reuses vs system-allocator trips.
-/// snapshot() aggregates over every thread's pool; diff two snapshots to
-/// attribute work to a measured region (bench_micro's flood and
-/// bench_service do).  Protocol and transport counters live where they are
-/// produced: core::NodeStats, net::NetworkStats, net::UdpLaneStats.
+/// Allocator counters: the pooled hot-path allocator (util/pool.hpp)
+/// counts free-list reuses vs system-allocator trips.  snapshot() reads
+/// the calling thread's pool, which holds the whole process's protocol
+/// work (one protocol thread per process); diff two snapshots to attribute
+/// work to a measured region (bench_micro's flood and bench_service do).
+/// Protocol and transport counters live where they are produced:
+/// core::NodeStats, net::NetworkStats, net::UdpLaneStats.
 struct Stats {
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;

@@ -82,27 +82,6 @@ struct NetworkStats {
   /// Lost transmissions modeled by in-model loss faults (each one costs a
   /// retransmission delay; the message still arrives — reliable channels).
   std::uint64_t injected_losses = 0;
-
-  /// Counter-wise sum — how the ShardedRunner merges per-shard transports
-  /// into one report (runtime/shard.hpp).  Every field is a monotone count,
-  /// so addition is the only aggregation that makes sense.
-  NetworkStats& operator+=(const NetworkStats& o) {
-    sent += o.sent;
-    delivered += o.delivered;
-    dropped_to_crashed += o.dropped_to_crashed;
-    purged_outgoing += o.purged_outgoing;
-    refusals += o.refusals;
-    purge_window_scanned += o.purge_window_scanned;
-    gossip_bytes_saved += o.gossip_bytes_saved;
-    bytes_sent += o.bytes_sent;
-    bytes_delivered += o.bytes_delivered;
-    bytes_purged += o.bytes_purged;
-    injected_duplicates += o.injected_duplicates;
-    injected_drops += o.injected_drops;
-    injected_pauses += o.injected_pauses;
-    injected_losses += o.injected_losses;
-    return *this;
-  }
 };
 
 /// The send/multicast/attach surface of a network backend.

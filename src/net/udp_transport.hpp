@@ -124,36 +124,6 @@ struct UdpLaneStats {
   std::uint64_t single_recvs = 0;
   std::uint64_t wheel_cascades = 0;      // timer-wheel level-to-level moves
   std::uint64_t send_queue_drops = 0;    // SendQueue overflow (drop-newest)
-
-  UdpLaneStats& operator+=(const UdpLaneStats& o) {
-    datagrams_sent += o.datagrams_sent;
-    datagram_bytes_sent += o.datagram_bytes_sent;
-    datagrams_received += o.datagrams_received;
-    frames_delivered += o.frames_delivered;
-    retransmissions += o.retransmissions;
-    ack_datagrams += o.ack_datagrams;
-    ack_bytes += o.ack_bytes;
-    duplicate_drops += o.duplicate_drops;
-    injected_losses += o.injected_losses;
-    malformed_datagrams += o.malformed_datagrams;
-    stray_datagrams += o.stray_datagrams;
-    link_resets += o.link_resets;
-    inbound_stalls += o.inbound_stalls;
-    zero_window_probes += o.zero_window_probes;
-    frame_encodes += o.frame_encodes;
-    frame_reuses += o.frame_reuses;
-    frames_batched += o.frames_batched;
-    batch_flushes += o.batch_flushes;
-    syscalls_sent += o.syscalls_sent;
-    syscalls_recvd += o.syscalls_recvd;
-    mmsg_sends += o.mmsg_sends;
-    mmsg_recvs += o.mmsg_recvs;
-    single_sends += o.single_sends;
-    single_recvs += o.single_recvs;
-    wheel_cascades += o.wheel_cascades;
-    send_queue_drops += o.send_queue_drops;
-    return *this;
-  }
 };
 
 /// Seeded per-directed-link Bernoulli drops applied at the socket boundary
@@ -165,7 +135,6 @@ class DatagramLossModel {
 
   /// Loss probability for links without an explicit override.
   void set_default_rate(double rate) { default_rate_ = rate; }
-  [[nodiscard]] double default_rate() const { return default_rate_; }
   void set_link_rate(std::uint32_t from, std::uint32_t to, double rate);
 
   /// One draw on the (from -> to) stream; true = drop this datagram.

@@ -59,11 +59,6 @@ class BatchComposer {
   /// Declares that the current batch updates `item` (idempotent).
   void add_item(std::uint64_t item);
 
-  /// Annotation for a non-final update message of the batch.
-  [[nodiscard]] Annotation update_annotation() const {
-    return Annotation::none();
-  }
-
   /// Records the sequence number the protocol assigned to the batch's
   /// update of `item` (call right after multicasting it).
   void note_update_seq(std::uint64_t item, std::uint64_t seq);
@@ -77,7 +72,6 @@ class BatchComposer {
   /// Single-message convenience: a singleton batch in one call.
   Annotation single(std::uint64_t item, std::uint64_t seq);
 
-  [[nodiscard]] bool in_batch() const { return in_batch_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:

@@ -139,8 +139,6 @@ class ExplicitRelation final : public Relation {
                             const MessageRef& older) const override;
   [[nodiscard]] const char* name() const override { return "explicit"; }
 
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
-
  private:
   [[nodiscard]] bool has_edge(const Key& older, const Key& newer) const;
 

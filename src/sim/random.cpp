@@ -4,7 +4,6 @@
 #include <cmath>
 
 namespace svs::sim {
-namespace {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
@@ -12,6 +11,8 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));

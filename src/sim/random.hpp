@@ -33,6 +33,11 @@
 
 namespace svs::sim {
 
+/// splitmix64: advances `state` by the golden-ratio increment and returns
+/// a full-avalanche mix of it.  Seed-free and portable, so anything ordered
+/// by it (the digest ring, DESIGN.md §11) is identical across platforms.
+std::uint64_t splitmix64(std::uint64_t& state);
+
 /// xoshiro256** 1.0 — fast, high-quality, tiny state.
 class Rng {
  public:

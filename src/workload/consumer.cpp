@@ -65,9 +65,4 @@ void RateConsumer::resume() {
   take_one();
 }
 
-void RateConsumer::set_rate(double msgs_per_second) {
-  SVS_REQUIRE(msgs_per_second > 0, "consumption rate must be positive");
-  rate_ = msgs_per_second;
-}
-
 }  // namespace svs::workload

@@ -45,8 +45,6 @@ class RateConsumer {
   void start();
   void stop();
   void resume();
-  /// Changes the consumption rate from now on.
-  void set_rate(double msgs_per_second);
 
   void set_sink(std::function<void(const core::Delivery&)> sink) {
     sink_ = std::move(sink);

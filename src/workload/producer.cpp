@@ -44,10 +44,7 @@ void TraceProducer::pump() {
     const auto seq = node_.multicast(tm.payload, tm.annotation);
     if (!seq.has_value()) {
       // Flow-controlled: start (or continue) accounting blocked time.
-      if (!blocked_since_.has_value()) {
-        blocked_since_ = sim_.now();
-        if (policy_ != nullptr) policy_->producer_blocked();
-      }
+      if (!blocked_since_.has_value()) blocked_since_ = sim_.now();
       return;  // the unblocked callback re-enters pump()
     }
     SVS_ASSERT(*seq == tm.seq,
@@ -55,7 +52,6 @@ void TraceProducer::pump() {
     if (blocked_since_.has_value()) {
       blocked_total_ += sim_.now() - *blocked_since_;
       blocked_since_.reset();
-      if (policy_ != nullptr) policy_->producer_unblocked();
     }
     ++next_;
   }

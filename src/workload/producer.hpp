@@ -12,7 +12,6 @@
 #include <functional>
 #include <optional>
 
-#include "core/membership.hpp"
 #include "core/node.hpp"
 #include "sim/simulator.hpp"
 #include "workload/trace.hpp"
@@ -31,10 +30,6 @@ class TraceProducer {
   /// last message is accepted.
   void start(std::function<void()> on_done = nullptr);
 
-  /// Optionally report blockage to a membership policy (for the paper's
-  /// "exclude on lack of buffer space" trigger).
-  void attach_policy(core::MembershipPolicy* policy) { policy_ = policy; }
-
   [[nodiscard]] std::size_t sent() const { return next_; }
   [[nodiscard]] bool done() const { return next_ >= trace_.messages().size(); }
   [[nodiscard]] sim::Duration blocked_time() const { return blocked_total_; }
@@ -52,7 +47,6 @@ class TraceProducer {
   sim::Simulator& sim_;
   core::Node& node_;
   const Trace& trace_;
-  core::MembershipPolicy* policy_ = nullptr;
 
   std::size_t next_ = 0;
   sim::TimePoint started_{};

@@ -10,19 +10,6 @@
 namespace svs::metrics {
 namespace {
 
-TEST(Summary, Accumulates) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  s.add(2);
-  s.add(4);
-  s.add(9);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(TimeWeightedMean, WeightsByDuration) {
   TimeWeightedMean m(sim::TimePoint::origin());
   // Value 10 held for 1ms, then value 0 held for 3ms: mean = 2.5.

@@ -815,19 +815,24 @@ TEST(UdpSocket, WaitReadableHonoursMicrosecondDeadlines) {
   constexpr int kIters = 25;
   constexpr std::int64_t kTimeoutUs = 200;
 
-  const std::int64_t start = UdpTransport::mono_us();
+  std::vector<std::int64_t> waits;
   for (int i = 0; i < kIters; ++i) {
+    const std::int64_t start = UdpTransport::mono_us();
     EXPECT_FALSE(UdpSocket::wait_readable(std::span<const int>(&fd, 1),
                                           kTimeoutUs));
+    waits.push_back(UdpTransport::mono_us() - start);
   }
-  const std::int64_t elapsed = UdpTransport::mono_us() - start;
+  // The median, not the sum: on a loaded host one wait can be preempted
+  // for milliseconds, which says nothing about the deadline itself.
+  std::nth_element(waits.begin(), waits.begin() + kIters / 2, waits.end());
+  const std::int64_t median = waits[kIters / 2];
 
-  // Each idle wait must actually sleep ~200µs: 25 waits land well above
-  // 90% of the nominal 5ms (no busy-spin) and well below the 25ms a
-  // poll()-style millisecond round-up would cost (no ms quantisation).
-  EXPECT_GE(elapsed, kIters * kTimeoutUs * 9 / 10)
+  // Each idle wait must actually sleep ~200µs: at least 90% of it (no
+  // busy-spin) and well below the 1ms a poll()-style millisecond round-up
+  // would cost (no ms quantisation).
+  EXPECT_GE(median, kTimeoutUs * 9 / 10)
       << "200µs waits returned immediately — the sleep busy-spins";
-  EXPECT_LT(elapsed, kIters * 600)
+  EXPECT_LT(median, 600)
       << "200µs waits cost ≥0.6ms each — quantised to milliseconds";
 }
 
