@@ -1,8 +1,20 @@
 #include "app/item_table.hpp"
 
+#include "sim/random.hpp"
 #include "util/contracts.hpp"
 
 namespace svs::app {
+namespace {
+
+/// One item's share of the digest: a full-avalanche mix of (id, value), so
+/// the terms of different states do not cancel out in the sum.
+std::uint64_t item_term(workload::ItemId id, std::uint64_t value) {
+  std::uint64_t state = id;
+  state = sim::splitmix64(state) ^ value;
+  return sim::splitmix64(state);
+}
+
+}  // namespace
 
 void ItemTable::apply(const core::Delivery& delivery) {
   if (const auto* data = std::get_if<core::DataDelivery>(&delivery)) {
@@ -39,22 +51,27 @@ void ItemTable::apply_op(const workload::ItemOp& op) {
     case workload::OpKind::create:
       SVS_REQUIRE(!items_.contains(op.item()), "create of an existing item");
       items_.emplace(op.item(), Item{op.value(), op.round()});
+      digest_ += item_term(op.item(), op.value());
       break;
     case workload::OpKind::update: {
       // Upsert: persistent world items exist implicitly from the start
       // (only transients are created explicitly).  Transient updates always
       // find their item: creates are never obsolete and FIFO order places
       // them first.
-      auto& item = items_[op.item()];
-      item.value = op.value();
-      item.updated_round = op.round();
+      const auto [it, inserted] = items_.try_emplace(op.item());
+      if (!inserted) digest_ -= item_term(op.item(), it->second.value);
+      it->second = Item{op.value(), op.round()};
+      digest_ += item_term(op.item(), op.value());
       break;
     }
     case workload::OpKind::destroy:
       // Tolerates an absent item: every earlier write of it may have been
       // purged as obsolete (covered by this very batch's commit), in which
       // case a slow replica destroys something it never materialised.
-      items_.erase(op.item());
+      if (const auto it = items_.find(op.item()); it != items_.end()) {
+        digest_ -= item_term(op.item(), it->second.value);
+        items_.erase(it);
+      }
       break;
   }
 }
@@ -63,22 +80,6 @@ std::optional<ItemTable::Item> ItemTable::get(workload::ItemId id) const {
   const auto it = items_.find(id);
   if (it == items_.end()) return std::nullopt;
   return it->second;
-}
-
-std::uint64_t ItemTable::digest() const {
-  // Order-independent is unnecessary (map iterates sorted); fold with a
-  // strong mix so single-item differences cannot cancel out.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-    h ^= h >> 32;
-  };
-  for (const auto& [id, item] : items_) {
-    mix(id);
-    mix(item.value);
-  }
-  return h;
 }
 
 }  // namespace svs::app

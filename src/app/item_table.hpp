@@ -37,8 +37,10 @@ class ItemTable {
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] std::optional<Item> get(workload::ItemId id) const;
 
-  /// Order-independent digest of the full state, for convergence checks.
-  [[nodiscard]] std::uint64_t digest() const;
+  /// Order-independent digest of the full state, for convergence checks:
+  /// the wrapping sum over items of a full-avalanche mix of (id, value),
+  /// kept up to date by every applied operation, so reading it is O(1).
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
 
   /// Digest recorded right before each view was installed, keyed by the
   /// *new* view id — the paper's consistency claim is that these agree
@@ -59,6 +61,7 @@ class ItemTable {
   void apply_op(const workload::ItemOp& op);
 
   std::map<workload::ItemId, Item> items_;
+  std::uint64_t digest_ = 0;  // sum of item_term over items_
   std::vector<std::shared_ptr<const workload::ItemOp>> pending_;
   std::map<std::uint64_t, std::uint64_t> digests_at_install_;
   std::uint64_t batches_applied_ = 0;

@@ -260,6 +260,13 @@ std::optional<std::uint64_t> Node::multicast(PayloadPtr payload,
   // queued entries with seq in [coverage_floor(m), seq(m)) are visited —
   // the window is per-message, so it is resolved once before the fan-out
   // (for a message that can cover nothing, the whole loop vanishes).
+  //
+  // The same facts decide the hold (DESIGN.md §9).  A message the relation
+  // can purge with whose annotation names an earlier message is an
+  // overwrite, and the next write of its object is the likeliest to purge
+  // it in turn; it is marked to wait in the purgeable outgoing buffer
+  // where the network holds only marked messages (distributed UDP mode).
+  // A message that names nothing goes out at once.
   if (config_.purge_outgoing) {
     const auto [floor_seq, below_seq] = outgoing_purge_window(*m);
     if (floor_seq < below_seq) {
@@ -267,6 +274,7 @@ std::optional<std::uint64_t> Node::multicast(PayloadPtr payload,
         if (peer == self_) continue;
         purge_outgoing_covered(peer, m, floor_seq, below_seq);
       }
+      if (m->annotation().names_predecessor()) m->set_held();
     }
   }
 

@@ -77,6 +77,19 @@ class Message {
   /// wire frame — telemetry hook for the encode-once counters.
   [[nodiscard]] bool frame_cached() const { return frame_cache_ != nullptr; }
 
+  /// True when the sender marked this message as an overwrite worth
+  /// holding (set_held).  Never encoded: it only steers the sender's own
+  /// network.
+  [[nodiscard]] bool held() const { return held_; }
+
+  /// Marks this message as an overwrite: one whose annotation names an
+  /// earlier message, so the sender's next write may purge it in turn.  A
+  /// network that holds only marked messages (Network::Hold::marked, the
+  /// distributed UDP mode) keeps it in the purgeable outgoing buffer for
+  /// its propagation delay; every other network ignores the mark.  Must
+  /// happen before the first send, like DataMessage::set_piggyback.
+  void set_held() { held_ = true; }
+
  protected:
   /// The exact encoded size: net::Codec::encode run into a counting
   /// writer (defined in net/codec.cpp).  Only MessageType::other test
@@ -88,6 +101,7 @@ class Message {
   friend class Codec;  // fills frame_cache_ on the first shared_frame()
 
   MessageType type_ = MessageType::other;
+  bool held_ = false;
   std::uint64_t order_key_ = 0;
   // 0 = not yet computed (no real message encodes to zero bytes: the type
   // tag alone is one byte).  Messages are confined to one protocol thread

@@ -7,8 +7,8 @@
 
 namespace svs::net {
 
-Network::Network(sim::Simulator& simulator, Config config)
-    : sim_(simulator), config_(config), rng_(config.seed) {
+Network::Network(sim::Simulator& simulator, Config config, Hold hold)
+    : sim_(simulator), config_(config), hold_(hold), rng_(config.seed) {
   SVS_REQUIRE(config_.delay >= sim::Duration::zero(), "delay must be >= 0");
   SVS_REQUIRE(config_.jitter >= sim::Duration::zero(), "jitter must be >= 0");
 }
@@ -57,15 +57,20 @@ void Network::enqueue(std::uint32_t fi, std::uint32_t ti, Link& l,
 
   const int li = lane_index(lane);
   const std::uint64_t key = message->order_key();
+  const bool waits = hold_ == Hold::every || message->held();
   // Countdown so the last copy moves the pointer: the single-copy case —
   // the entire hot path — never pays a refcount bump here.
   for (std::uint32_t c = copies; c-- > 0;) {
-    sim::Duration delay = config_.delay + l.slowdown + injected;
-    if (config_.jitter > sim::Duration::zero()) {
-      delay += sim::Duration::micros(static_cast<std::int64_t>(rng_.below(
-          static_cast<std::uint64_t>(config_.jitter.as_micros()) + 1)));
+    sim::Duration delay = l.slowdown + injected;
+    if (waits) {
+      delay += config_.delay;
+      if (config_.jitter > sim::Duration::zero()) {
+        delay += sim::Duration::micros(static_cast<std::int64_t>(rng_.below(
+            static_cast<std::uint64_t>(config_.jitter.as_micros()) + 1)));
+      }
     }
-    // FIFO per lane: acceptance attempts never reorder.
+    // FIFO per lane: acceptance attempts never reorder, so a message that
+    // does not wait still queues behind a held one.
     sim::TimePoint ready = sim_.now() + delay;
     if (ready < l.last_ready[li]) ready = l.last_ready[li];
     l.last_ready[li] = ready;

@@ -7,7 +7,8 @@
 // Model (matches §5.3): each ordered pair (from, to) has one queue per lane.
 // A queued message is still in the *sender's outgoing buffer* until the
 // receiver accepts it; acceptance is attempted once the message's
-// propagation delay has elapsed.  Each link lane runs one delivery timer
+// propagation delay has elapsed (under Hold::marked, only overwrites wait
+// it; see Config::delay).  Each link lane runs one delivery timer
 // that drains every message already due in a single simulator event, so a
 // burst of n same-ready messages costs one heap operation, not n.  A
 // receiver may refuse a data-lane message ("ceases to accept further
@@ -61,16 +62,31 @@ namespace svs::net {
 class Network final : public Transport {
  public:
   struct Config {
-    /// One-way propagation delay applied to every message.
+    /// One-way propagation delay: how long a message waits in the sender's
+    /// outgoing buffer, where sender-side purging can still remove it.
+    /// Under Hold::every (sim, all-local UDP) every message waits it; under
+    /// Hold::marked (distributed UDP) only Message::held() overwrites do,
+    /// and it is the hold that lets the next write purge them.
     sim::Duration delay = sim::Duration::millis(1);
-    /// Extra uniformly distributed jitter in [0, jitter] added per message.
-    /// FIFO order is preserved regardless (arrival times are monotone per
-    /// link lane).
+    /// Extra uniformly distributed jitter in [0, jitter] added to every
+    /// message that waits `delay`.  FIFO order is preserved regardless
+    /// (arrival times are monotone per link lane).
     sim::Duration jitter = sim::Duration::zero();
     std::uint64_t seed = 0x5eed;
   };
 
-  Network(sim::Simulator& simulator, Config config);
+  /// Which messages wait Config::delay in the outgoing buffer.
+  enum class Hold : std::uint8_t {
+    /// Every message: §5.3's propagation-delay model.
+    every,
+    /// Only messages marked Message::held(); the rest are offered to their
+    /// endpoint at the virtual instant they were sent.  UdpTransport's
+    /// distributed mode, where the real wire supplies the latency and a
+    /// simulated one would only add wall time.
+    marked,
+  };
+
+  Network(sim::Simulator& simulator, Config config, Hold hold = Hold::every);
 
   /// Registers the endpoint for a process and assigns it the next dense
   /// index.  Must be called before any send involving `id`.  O(1): links
@@ -288,6 +304,7 @@ class Network final : public Transport {
 
   sim::Simulator& sim_;
   Config config_;
+  Hold hold_;
   sim::Rng rng_;
 
   // Dense process registry: attach order assigns indices 0..n-1.

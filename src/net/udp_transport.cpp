@@ -230,7 +230,10 @@ AckBlock ReliableLink::ack_state(std::uint32_t window) const {
 // UdpTransport
 
 UdpTransport::UdpTransport(sim::Simulator& simulator, Config config)
-    : inner_(simulator, config.network), config_(config),
+    : inner_(simulator, config.network,
+             config.bind_local ? Network::Hold::marked
+                               : Network::Hold::every),
+      config_(config),
       loss_(config.lane_seed), wheel_(1) {
   loss_.set_default_rate(config.loss_rate);
   // Seat the wheel cursor at the present so the first real arm is a direct

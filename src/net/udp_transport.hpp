@@ -52,6 +52,13 @@
 //     A peer whose link exhausts its retries is declared dead and
 //     crash-stopped in the inner network; the heartbeat FD + membership
 //     machinery then excludes it (kill -9 becomes a real crash fault).
+//     Here the kernel supplies the latency, so the inner network holds
+//     only overwrites (Network::Hold::marked): a data message marked
+//     Message::held() — its annotation names an earlier message — waits
+//     network.delay in the purgeable outgoing buffer, where the next write
+//     of the same object can purge it before it costs a datagram.  Every
+//     other message, control traffic included, reaches the reliable lane
+//     in the simulator turn it was sent (DESIGN.md §9).
 //
 // The hot path is batched end to end: frames coalesce per (peer, lane)
 // into multi-frame datagrams (both modes), encoded datagrams queue on a
@@ -255,8 +262,10 @@ class ReliableLink {
 class UdpTransport final : public Transport {
  public:
   struct Config {
-    /// Inner link discipline (virtual-time delay/jitter), as the other
-    /// backends.
+    /// Inner link discipline (virtual-time delay/jitter).  All-local mode
+    /// delays every message, as the sim backend does; distributed mode
+    /// delays only held overwrites (Network::Hold::marked), so there
+    /// `delay` is the hold that gives sender-side purging its window.
     Network::Config network;
     /// Reliable-lane tuning.  The defaults suit the all-local shadow mode;
     /// distributed deployments want a larger rto_base_us (real scheduling

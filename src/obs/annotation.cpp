@@ -46,6 +46,20 @@ const KBitmap& Annotation::bitmap() const {
   return bitmap_;
 }
 
+bool Annotation::names_predecessor() const {
+  switch (kind_) {
+    case AnnotationKind::none:
+      return false;
+    case AnnotationKind::item_tag:
+      return true;
+    case AnnotationKind::enumeration:
+      return !enumerated_.empty();
+    case AnnotationKind::k_enum:
+      return !bitmap_.empty();
+  }
+  return false;
+}
+
 std::size_t Annotation::wire_size() const {
   switch (kind_) {
     case AnnotationKind::none:

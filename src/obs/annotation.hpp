@@ -58,6 +58,11 @@ class Annotation {
   /// Valid only for kind() == k_enum.
   [[nodiscard]] const KBitmap& bitmap() const;
 
+  /// True when the annotation names an earlier message: any item tag (it
+  /// may overwrite an earlier write of its item), a non-empty enumeration
+  /// or a non-empty k-enum bitmap.
+  [[nodiscard]] bool names_predecessor() const;
+
   /// Encoded size of the annotation as carried in a message header.
   [[nodiscard]] std::size_t wire_size() const;
   void encode(util::ByteWriter& writer) const;

@@ -15,8 +15,11 @@
 //      whichever comes first.
 //
 // Virtual time therefore tracks wall time from below (never ahead), so a
-// timer never fires early relative to the kernel's datagram delivery, and
-// all inner-network delays keep their meaning as real milliseconds.
+// timer never fires early relative to the kernel's datagram delivery.  Any
+// inner-network delay plays back as real wall time; in distributed mode the
+// only one is the hold on overwrites (net::Network::Hold::marked); every
+// other message is handed to the reliable lane at the virtual instant it
+// was sent.
 #pragma once
 
 #include <cstdint>

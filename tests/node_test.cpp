@@ -215,6 +215,70 @@ TEST(Node, ReliableBaselineDoesNotPurge) {
   }
 }
 
+/// Records every message t2 accepted.
+class MulticastRecorder final : public NodeObserver {
+ public:
+  void on_multicast(net::ProcessId /*p*/, const DataMessagePtr& m) override {
+    sent.push_back(m);
+  }
+  std::vector<DataMessagePtr> sent;
+};
+
+/// Node 0 multicasts one message per annotation under `relation`; returns
+/// whether each was marked held in the outgoing buffer.
+std::vector<bool> held_marks(obs::RelationPtr relation,
+                             std::vector<obs::Annotation> annotations,
+                             bool purge_outgoing = true) {
+  sim::Simulator sim;
+  MulticastRecorder recorder;
+  auto cfg = base_config(std::move(relation), &recorder);
+  cfg.node.purge_outgoing = purge_outgoing;
+  Group g(sim, cfg);
+  std::vector<bool> held;
+  for (auto& annotation : annotations) {
+    EXPECT_TRUE(g.node(0).multicast(blob(0), std::move(annotation)));
+    held.push_back(recorder.sent.back()->held());
+  }
+  return held;
+}
+
+obs::Annotation kenum(std::initializer_list<std::size_t> distances) {
+  obs::KBitmap bitmap(8);
+  for (const std::size_t d : distances) bitmap.set(d);
+  return obs::Annotation::kenum(bitmap);
+}
+
+TEST(Node, MarksHeldExactlyTheOverwritesItCanPurgeWith) {
+  using obs::Annotation;
+  using Marks = std::vector<bool>;
+  // k-enumeration: only a non-empty bitmap names an earlier message; an
+  // annotation of another kind cannot be purged with at all.
+  EXPECT_EQ(held_marks(std::make_shared<obs::KEnumRelation>(),
+                       {kenum({}), kenum({1}), Annotation::none(),
+                        Annotation::item(7), kenum({1, 3})}),
+            (Marks{false, true, false, false, true}));
+  // Enumeration: only a non-empty list.
+  EXPECT_EQ(held_marks(std::make_shared<obs::EnumerationRelation>(),
+                       {Annotation::enumerate({}), Annotation::enumerate({1}),
+                        Annotation::none()}),
+            (Marks{false, true, false}));
+  // Item tags always qualify: any write of an item may overwrite another.
+  EXPECT_EQ(held_marks(std::make_shared<obs::ItemTagRelation>(),
+                       {Annotation::item(7), Annotation::item(8),
+                        Annotation::none()}),
+            (Marks{true, true, false}));
+  // The empty relation purges with nothing, so nothing waits.
+  EXPECT_EQ(held_marks(std::make_shared<obs::EmptyRelation>(),
+                       {kenum({1}), Annotation::item(7),
+                        Annotation::enumerate({1})}),
+            (Marks{false, false, false}));
+  // Without sender-side purging nothing can remove a waiting message.
+  EXPECT_EQ(held_marks(std::make_shared<obs::KEnumRelation>(),
+                       {kenum({}), kenum({1}), Annotation::item(7)},
+                       /*purge_outgoing=*/false),
+            (Marks{false, false, false}));
+}
+
 TEST(Node, LateObsoleteArrivalIsSuppressed) {
   // Cross-sender relation: p1's message covers p0's.  p0's link to p2 is
   // slowed so the covering message arrives first.

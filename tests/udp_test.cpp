@@ -3,8 +3,8 @@
 // group under heavy forced datagram loss (must converge with *zero*
 // protocol-level loss and a history bit-identical to the sim backend), an
 // SO_RCVBUF-starved kernel-drop stress, and the distributed mode's flood
-// recovery and inbound-backpressure machinery (window shrink, zero-window
-// probes, resume()).
+// recovery, inbound-backpressure machinery (window shrink, zero-window
+// probes, resume()) and outgoing hold, which only overwrites wait.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,8 @@
 #include "net/dgram.hpp"
 #include "net/udp.hpp"
 #include "net/udp_transport.hpp"
+#include "obs/annotation.hpp"
+#include "obs/kbitmap.hpp"
 #include "obs/relation.hpp"
 #include "runtime/real_time.hpp"
 #include "sim/random.hpp"
@@ -627,6 +629,121 @@ TEST(UdpDistributed, DataLaneBatchesSmallFramesAndDeliversInOrder) {
     b.pump(2'000);
   }
   EXPECT_TRUE(a.links_idle()) << "a pending batch or unacked frame remains";
+}
+
+// ---------------------------------------------------------------------------
+// Distributed mode holds only overwrites in the outgoing buffer
+// ---------------------------------------------------------------------------
+
+/// Two distributed-mode transports wired to each other: `a` hosts process 0
+/// and `b` process 1, each delivering into its Sink.
+struct DistributedPair {
+  static UdpTransport::Config config() {
+    UdpTransport::Config c;
+    c.bind_local = true;
+    c.link.rto_base_us = 2'000;
+    c.link.rto_max_us = 20'000;
+    return c;
+  }
+
+  DistributedPair() : a(sim_a, config()), b(sim_b, config()) {
+    a.attach(ProcessId(0), sink_a);
+    b.attach(ProcessId(1), sink_b);
+    a.add_peer(ProcessId(1), b.local_port(ProcessId(1)));
+    b.add_peer(ProcessId(0), a.local_port(ProcessId(0)));
+  }
+
+  /// Pumps both sockets, never touching either virtual clock, until b has
+  /// received `count` messages or two seconds of wall time pass.
+  bool pump_until_received(std::size_t count) {
+    const std::int64_t deadline = UdpTransport::mono_us() + 2'000'000;
+    while (sink_b.received.size() < count &&
+           UdpTransport::mono_us() < deadline) {
+      a.pump(500);
+      b.pump(500);
+    }
+    return sink_b.received.size() == count;
+  }
+
+  [[nodiscard]] std::size_t backlog() const {
+    return a.data_backlog(ProcessId(0), ProcessId(1));
+  }
+
+  sim::Simulator sim_a, sim_b;
+  Sink sink_a, sink_b;
+  UdpTransport a, b;
+};
+
+/// Process 0's k-enumeration write `seq`, naming the predecessors at the
+/// given distances, marked held when `held` (as Node::multicast marks an
+/// overwrite).
+MessagePtr kenum_message(std::uint64_t seq,
+                         std::initializer_list<std::size_t> distances,
+                         bool held) {
+  obs::KBitmap bitmap(8);
+  for (const std::size_t d : distances) bitmap.set(d);
+  auto m = std::make_shared<core::DataMessage>(
+      ProcessId(0), seq, ViewId(0), obs::Annotation::kenum(bitmap),
+      std::make_shared<workload::ItemOp>(workload::OpKind::update, 1, seq,
+                                         seq, true));
+  if (held) m->set_held();
+  return m;
+}
+
+TEST(UdpDistributed, UnheldTrafficReachesThePeerWithoutVirtualDelay) {
+  DistributedPair pair;
+  const sim::TimePoint t0 = pair.sim_a.now();
+  pair.a.send(ProcessId(0), ProcessId(1), numbered_message(1), Lane::control);
+  pair.a.send(ProcessId(0), ProcessId(1), kenum_message(2, {}, false),
+              Lane::data);
+  // Only what is due at the present instant runs: a's clock never moves,
+  // yet both messages reach the reliable lane and cross the wire.
+  pair.sim_a.run_until(t0);
+  EXPECT_EQ(pair.backlog(), 0u);
+  ASSERT_TRUE(pair.pump_until_received(2))
+      << "a message waited for virtual time";
+  EXPECT_EQ(pair.sim_a.now(), t0);
+}
+
+TEST(UdpDistributed, HeldOverwriteWaitsTheDelayAndItsCoverPurgesIt) {
+  DistributedPair pair;
+  const sim::Duration hold = DistributedPair::config().network.delay;
+  ASSERT_GT(hold, sim::Duration::micros(2));
+  const sim::TimePoint t0 = pair.sim_a.now();
+
+  // Write 1 names nothing and leaves at once; write 2 overwrites it and is
+  // held in the outgoing buffer.
+  pair.a.send(ProcessId(0), ProcessId(1), kenum_message(1, {}, false),
+              Lane::data);
+  pair.a.send(ProcessId(0), ProcessId(1), kenum_message(2, {1}, true),
+              Lane::data);
+  pair.sim_a.run_until(t0);
+  ASSERT_TRUE(pair.pump_until_received(1));
+  EXPECT_EQ(pair.backlog(), 1u) << "the overwrite did not wait";
+
+  // Within the hold, write 3 covers write 2, and the sender-side purge that
+  // t2 would run (done here by hand) removes it before it costs a datagram.
+  pair.sim_a.run_until(t0 + (hold - sim::Duration::micros(1)));
+  EXPECT_EQ(pair.backlog(), 1u) << "the hold ended early";
+  const sim::TimePoint t1 = pair.sim_a.now();
+  pair.a.send(ProcessId(0), ProcessId(1), kenum_message(3, {1, 2}, true),
+              Lane::data);
+  const auto covered_by_3 = [](const MessagePtr& queued) {
+    return seq_of(queued) == 2;
+  };
+  EXPECT_EQ(pair.a.purge_outgoing(ProcessId(0), covered_by_3), 1u);
+  EXPECT_GT(pair.a.stats().bytes_purged, 0u);
+  EXPECT_EQ(pair.backlog(), 1u);
+
+  // Write 3 waits its own hold, then crosses.
+  pair.sim_a.run_until(t1 + (hold - sim::Duration::micros(1)));
+  EXPECT_EQ(pair.backlog(), 1u);
+  pair.sim_a.run_until(t1 + hold);
+  EXPECT_EQ(pair.backlog(), 0u);
+  ASSERT_TRUE(pair.pump_until_received(2));
+  EXPECT_EQ(seq_of(pair.sink_b.received[0]), 1u);
+  EXPECT_EQ(seq_of(pair.sink_b.received[1]), 3u)
+      << "the peer received the purged overwrite";
 }
 
 // ---------------------------------------------------------------------------
