@@ -2,10 +2,9 @@
 // end-to-end multicast delivery, purging, consensus instances, trace
 // generation.
 //
-// The main() epilogue measures the purge-index win directly and writes it
-// to BENCH_micro.json: purge-scan steps per arrival for the indexed
-// per-sender path vs the reference full-scan path across queue lengths
-// (sub-linear vs linear), plus simulator events per second.
+// The main() epilogue writes BENCH_micro.json: purge-scan steps per arrival
+// on the indexed per-sender path across queue lengths (flat, bounded by the
+// k-enumeration horizon), plus simulator events per second.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -189,14 +188,14 @@ BENCHMARK(BM_TraceGeneration);
 
 /// Average covers() examinations per arrival (capacity pre-check + purge)
 /// against a steady queue of `length` entries spread over 8 senders, under
-/// the k-enumeration relation.  The indexed path is bounded by the bitmap
-/// horizon; the reference path scans the whole queue.
-double purge_steps_per_arrival(bool indexed, std::size_t length) {
+/// the k-enumeration relation.  The indexed purge is bounded by the bitmap
+/// horizon, whatever the queue length.
+double purge_steps_per_arrival(std::size_t length) {
   constexpr std::uint32_t kSenders = 8;
   constexpr std::size_t kHorizon = 16;
   const core::ViewId view{0};
   core::DeliveryQueue queue(std::make_shared<obs::KEnumRelation>(),
-                            net::ProcessId(0), nullptr, indexed);
+                            net::ProcessId(0), nullptr);
   std::vector<obs::BatchComposer> composers;
   std::vector<std::uint64_t> next_seq(kSenders, 1);
   for (std::uint32_t s = 0; s < kSenders; ++s) {
@@ -754,9 +753,7 @@ int main(int argc, char** argv) {
     scaling.push(svs::bench::JsonObject()
                      .add("queue_length", static_cast<double>(length))
                      .add("indexed_steps_per_arrival",
-                          purge_steps_per_arrival(true, length))
-                     .add("full_scan_steps_per_arrival",
-                          purge_steps_per_arrival(false, length)));
+                          purge_steps_per_arrival(length)));
   }
   svs::bench::JsonArray fanout;
   svs::bench::JsonArray net_fanout;

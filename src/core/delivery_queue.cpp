@@ -9,11 +9,8 @@
 namespace svs::core {
 
 DeliveryQueue::DeliveryQueue(obs::RelationPtr relation, net::ProcessId self,
-                             NodeObserver* observer, bool use_index)
-    : relation_(std::move(relation)),
-      self_(self),
-      observer_(observer),
-      use_index_(use_index) {
+                             NodeObserver* observer)
+    : relation_(std::move(relation)), self_(self), observer_(observer) {
   SVS_REQUIRE(relation_ != nullptr, "a relation oracle is required");
 }
 
@@ -91,30 +88,20 @@ void DeliveryQueue::push_data(const DataMessagePtr& m) {
   entries_.push_back(Entry{m, std::nullopt});
   ++data_count_;
   accepted_ids_.insert(m->id());
-  if (fast_path()) index_insert(m, std::prev(entries_.end()));
+  index_insert(m, std::prev(entries_.end()));
 }
 
 void DeliveryQueue::push_data_flush(const DataMessagePtr& m) {
   auto pos = entries_.end();
-  if (fast_path()) {
-    const auto sender = by_sender_.find(m->sender());
-    if (sender != by_sender_.end()) {
-      const std::size_t above = sender->second.upper_bound(m->seq());
-      if (above < sender->second.size()) pos = sender->second.slots[above];
-    }
-  } else {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->data != nullptr && it->data->sender() == m->sender() &&
-          it->data->seq() > m->seq()) {
-        pos = it;
-        break;
-      }
-    }
+  const auto sender = by_sender_.find(m->sender());
+  if (sender != by_sender_.end()) {
+    const std::size_t above = sender->second.upper_bound(m->seq());
+    if (above < sender->second.size()) pos = sender->second.slots[above];
   }
   const auto it = entries_.insert(pos, Entry{m, std::nullopt});
   ++data_count_;
   accepted_ids_.insert(m->id());
-  if (fast_path()) index_insert(m, it);
+  index_insert(m, it);
 }
 
 void DeliveryQueue::push_view(const View& v) {
@@ -127,7 +114,7 @@ std::optional<DeliveryQueue::Entry> DeliveryQueue::pop_front() {
   if (entry.data != nullptr) {
     SVS_ASSERT(data_count_ > 0, "data count out of sync with queue");
     --data_count_;
-    if (fast_path()) index_erase(*entry.data);
+    index_erase(*entry.data);
   }
   entries_.pop_front();
   return entry;
@@ -195,35 +182,18 @@ std::size_t DeliveryQueue::collect_delivered(
 
 bool DeliveryQueue::covered_by_accepted(const DataMessage& m, ViewId cv) {
   SVS_ASSERT(m.view() == cv, "t3/t7 only test messages of the current view");
-  const auto covers = [&](const DataMessagePtr& candidate) {
-    ++stats_.cover_scan_steps;
-    return candidate->view() == m.view() &&
-           relation_->covers(candidate->ref(), m.ref());
-  };
-  // Per-sender relations need a covering message from the same sender with
-  // a higher sequence number.  FIFO channels deliver per-sender seqs in
-  // order, so everything delivered from m's sender is below m's seq (at t7
-  // the high-water filter already removed candidates at or below it) —
-  // scanning the unbounded delivered history would never match.  Only
-  // cross-sender relations (e.g. the test-only ExplicitRelation) require
-  // the full scan.
-  if (!relation_->per_sender()) {
-    for (const auto& d : delivered_view_) {
-      if (covers(d)) return true;
-    }
-    for (const auto& e : entries_) {
-      if (e.data != nullptr && covers(e.data)) return true;
-    }
-    return false;
-  }
-  if (!use_index_) {
-    for (const auto& e : entries_) {
-      if (e.data != nullptr && covers(e.data)) return true;
-    }
-    return false;
-  }
-  // Indexed: only queued entries of m's sender with a higher seq qualify —
-  // a linear walk over the packed columns, no list-node chasing.
+  // A cover shares m's sender and carries a higher seq (Relation::covers),
+  // and only queued entries are scanned: a linear walk over the sender's
+  // packed columns above m's seq.
+  //
+  // At t3 that loses nothing.  FIFO channels deliver a sender's seqs in
+  // order, so nothing delivered here from m's sender lies above a fresh
+  // arrival.  At t7 it does: a flushed-in m can be a gap whose cover was
+  // already delivered here, with the cover's purge debt not yet gossiped,
+  // and that cover does not stop the flush — m is delivered after it.
+  // Repro: `svs_explore --seed=1089 --relation=kenum --faults=0x0
+  // --msgs=2`, which fails only once the checker's FIFO exemption for
+  // flush-ins is narrowed (ROADMAP item 1).
   const auto sender = by_sender_.find(m.sender());
   if (sender == by_sender_.end()) return false;
   const SenderColumn& column = sender->second;
@@ -241,17 +211,6 @@ bool DeliveryQueue::covered_by_accepted(const DataMessage& m, ViewId cv) {
 std::size_t DeliveryQueue::count_victims(const DataMessage& by, ViewId cv) {
   SVS_ASSERT(by.view() == cv, "purging is restricted to the current view");
   std::size_t victims = 0;
-  if (!fast_path()) {
-    const auto is_victim = [&](const DataMessagePtr& candidate) {
-      ++stats_.purge_scan_steps;
-      return candidate->view() == by.view() &&
-             relation_->covers(by.ref(), candidate->ref());
-    };
-    for (const auto& e : entries_) {
-      if (e.data != nullptr && is_victim(e.data)) ++victims;
-    }
-    return victims;
-  }
   const auto sender = by_sender_.find(by.sender());
   if (sender == by_sender_.end()) return 0;
   const SenderColumn& column = sender->second;
@@ -271,22 +230,6 @@ std::size_t DeliveryQueue::count_victims(const DataMessage& by, ViewId cv) {
 std::size_t DeliveryQueue::purge_with(const DataMessagePtr& by, ViewId cv) {
   SVS_ASSERT(by->view() == cv, "purging is restricted to the current view");
   std::size_t removed = 0;
-  if (!fast_path()) {
-    const auto is_victim = [&](const DataMessagePtr& candidate) {
-      ++stats_.purge_scan_steps;
-      return candidate->view() == by->view() &&
-             relation_->covers(by->ref(), candidate->ref());
-    };
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->data != nullptr && is_victim(it->data)) {
-        it = erase_entry(it, by);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-    return removed;
-  }
   const auto sender = by_sender_.find(by->sender());
   if (sender == by_sender_.end()) return 0;
   SenderColumn& column = sender->second;
@@ -313,40 +256,10 @@ std::size_t DeliveryQueue::purge_with(const DataMessagePtr& by, ViewId cv) {
 std::size_t DeliveryQueue::purge_full(ViewId cv) {
   (void)cv;  // purge_full relates entries pairwise by their own views
   std::size_t removed = 0;
-  if (!fast_path()) {
-    // purge(S): remove every data entry covered by another entry of the
-    // same view still in S.  Quadratic over a queue that is at most a few
-    // dozen entries long (§5.3 buffer sizes).
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      DataMessagePtr coverer;
-      if (it->data != nullptr) {
-        for (const auto& other : entries_) {
-          ++stats_.purge_scan_steps;
-          if (other.data != nullptr && other.data != it->data &&
-              other.data->view() == it->data->view() &&
-              relation_->covers(other.data->ref(), it->data->ref())) {
-            coverer = other.data;
-            break;
-          }
-        }
-      }
-      if (coverer != nullptr) {
-        it = erase_entry(it, coverer);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-    return removed;
-  }
-  // Indexed: a coverer shares the victim's sender and has a higher seq, so
-  // each sender's entries are checked only against their own successors —
-  // sub-quadratic in the queue, quadratic only within one sender's run.
-  // Seq-ascending order matches the reference queue order per sender (FIFO
-  // reception; flushed entries carry the highest seqs), so the evolving
-  // live set is identical: victims are only ever removed at or before the
-  // position under scrutiny, and coverers are successors, which the
-  // reference path had not removed yet either.
+  // purge(S): remove every data entry covered by another entry of the same
+  // view still in S.  A coverer shares the victim's sender and has a higher
+  // seq, so each sender's entries are checked only against their own
+  // successors — quadratic only within one sender's run.
   for (auto sender = by_sender_.begin(); sender != by_sender_.end();) {
     SenderColumn& column = sender->second;
     std::size_t punched = 0;

@@ -6,15 +6,13 @@
 // history of the current view (retained for a possible t7 flush until
 // stability gossip collects it), and the accepted-id set spanning both.
 //
-// The purge fast path (DESIGN.md §2): for Relation::per_sender() relations a
-// covering message and its victims share a sender, so the queue maintains a
-// per-sender seq -> entry index and `purge_with`/`covered_by_accepted` visit
-// only that sender's entries — further narrowed to
-// [relation.coverage_floor(by), by.seq) — instead of scanning the whole
-// queue.  Cross-sender relations (the test-only ExplicitRelation) take the
-// reference full-scan path.  `use_index = false` forces the reference path
-// everywhere; the randomized equivalence test and the before/after bench
-// numbers rely on both paths computing identical victim sets.
+// Indexed purging (DESIGN.md §2): obsolescence is per-sender (see
+// obs/relation.hpp), so a covering message and its victims share a sender.
+// The queue maintains a per-sender seq -> entry index and `purge_with`,
+// `count_victims` and `covered_by_accepted` visit only that sender's
+// entries — further narrowed to [relation.coverage_floor(by), by.seq) —
+// instead of scanning the whole queue.  delivery_queue_test holds every
+// operation to a brute-force model that scans the whole queue.
 //
 // Index representation (DESIGN.md §8): structure-of-arrays.  Each sender's
 // queued entries live in parallel columns sorted by seq — the seq keys
@@ -58,7 +56,7 @@ class DeliveryQueue {
   };
 
   DeliveryQueue(obs::RelationPtr relation, net::ProcessId self,
-                NodeObserver* observer, bool use_index = true);
+                NodeObserver* observer);
 
   DeliveryQueue(const DeliveryQueue&) = delete;
   DeliveryQueue& operator=(const DeliveryQueue&) = delete;
@@ -115,8 +113,10 @@ class DeliveryQueue {
 
   // -- semantic purging ---------------------------------------------------
 
-  /// True iff some accepted (queued or delivered) message of view `cv`
-  /// covers m — the suppression test of t3 and the flush filter of t7.
+  /// True iff some queued message of view `cv` covers m — the suppression
+  /// test of t3 and flush rule (c) of t7.  The delivered history is not
+  /// scanned; see the definition for why t3 loses nothing by that and t7
+  /// does.
   [[nodiscard]] bool covered_by_accepted(const DataMessage& m, ViewId cv);
 
   /// Number of queued entries purge_with(by) would remove, without removing
@@ -145,7 +145,6 @@ class DeliveryQueue {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const obs::Relation& relation() const { return *relation_; }
-  [[nodiscard]] bool indexed() const { return use_index_; }
 
  private:
   // List nodes and accepted-id nodes recycle through the thread's pool:
@@ -189,14 +188,10 @@ class DeliveryQueue {
   void index_erase(const DataMessage& m);
   /// Removes a queued data entry: observer hook, index, accepted set.
   List::iterator erase_entry(List::iterator it, const DataMessagePtr& by);
-  [[nodiscard]] bool fast_path() const {
-    return use_index_ && relation_->per_sender();
-  }
 
   obs::RelationPtr relation_;
   net::ProcessId self_;
   NodeObserver* observer_;  // optional, not owned
-  bool use_index_;
 
   List entries_;
   std::size_t data_count_ = 0;  // data entries in entries_

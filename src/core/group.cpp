@@ -9,8 +9,6 @@ Group::Group(sim::Simulator& simulator, Config config) : sim_(simulator) {
   if (config.backend == Backend::udp) {
     net::UdpTransport::Config udp;
     udp.network = config.network;
-    udp.link = config.udp_link;
-    udp.lane_seed = config.udp_lane_seed;
     udp.loss_rate = config.udp_loss_rate;
     udp.rcvbuf_bytes = config.udp_rcvbuf_bytes;
     network_ = std::make_unique<net::UdpTransport>(simulator, udp);

@@ -35,10 +35,8 @@ class Group {
     NodeConfig node;  // template applied to every node
     net::Network::Config network;
     Backend backend = Backend::sim;
-    /// Backend::udp: reliable-lane tuning and socket-boundary loss.
-    net::ReliableLink::Config udp_link;
+    /// Backend::udp: socket-boundary loss.
     double udp_loss_rate = 0.0;
-    std::uint64_t udp_lane_seed = 0x0DD5'0CE7;
     /// Backend::udp: if > 0, shrink every socket's SO_RCVBUF (kernel-drop
     /// stress mode).
     int udp_rcvbuf_bytes = 0;
@@ -70,9 +68,6 @@ class Group {
   /// The SWIM backend's counters/incarnations; null on the other kinds.
   [[nodiscard]] fd::SwimDetector* swim_detector(std::size_t i) {
     return dynamic_cast<fd::SwimDetector*>(detectors_.at(i).get());
-  }
-  [[nodiscard]] MembershipPolicy* policy(std::size_t i) {
-    return policies_.empty() ? nullptr : policies_.at(i).get();
   }
   [[nodiscard]] net::Transport& network() { return *network_; }
   /// The UDP backend's lane telemetry and sockets; null on the sim backend.

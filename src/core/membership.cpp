@@ -73,26 +73,4 @@ void MembershipPolicy::act_on_suspicions() {
   if (node_.request_view_change(suspects)) ++exclusions_triggered_;
 }
 
-void MembershipPolicy::producer_blocked() {
-  if (!config_.exclude_on_blockage || blockage_timer_.valid()) return;
-  blockage_timer_ = sim_.schedule_after(config_.blockage_grace, [this] {
-    blockage_timer_ = sim::EventId{};
-    act_on_blockage();
-  });
-}
-
-void MembershipPolicy::producer_unblocked() {
-  if (blockage_timer_.valid()) {
-    sim_.cancel(blockage_timer_);
-    blockage_timer_ = sim::EventId{};
-  }
-}
-
-void MembershipPolicy::act_on_blockage() {
-  if (node_.excluded() || node_.blocked()) return;
-  const auto saturated = node_.saturated_peers();
-  if (saturated.empty()) return;
-  if (node_.request_view_change(saturated)) ++exclusions_triggered_;
-}
-
 }  // namespace svs::core

@@ -6,19 +6,14 @@
 // available buffer space at one or more processes and simply the existence
 // of processes that voluntarily want to leave."
 //
-// This policy implements the first two causes (the third is the
-// application calling Node::request_view_change itself):
-//   * suspicion-driven exclusion, after a grace period, initiated by the
-//     lowest-ranked unsuspected member to avoid INIT storms (the protocol
-//     tolerates concurrent INITs; this is just hygiene);
-//   * optional blockage-driven exclusion: when the local producer has been
-//     flow-blocked for longer than a grace period, propose removing the
-//     members whose outgoing buffers are saturated.  Disabled by default —
-//     the whole point of SVS is to make this unnecessary for transient
-//     perturbations.
+// This policy acts on failure suspicions only: suspicion-driven exclusion,
+// after a grace period, initiated by the lowest-ranked unsuspected member to
+// avoid INIT storms (the protocol tolerates concurrent INITs; this is just
+// hygiene).  The other causes are left to the application, which calls
+// Node::request_view_change itself — to remove a receiver whose buffers
+// stay full, or to leave.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/node.hpp"
@@ -32,9 +27,6 @@ class MembershipPolicy {
   struct Config {
     /// How long a suspicion must persist before acting on it.
     sim::Duration suspicion_grace = sim::Duration::millis(20);
-    /// Exclude saturated receivers when the producer stays blocked.
-    bool exclude_on_blockage = false;
-    sim::Duration blockage_grace = sim::Duration::millis(500);
   };
 
   MembershipPolicy(sim::Simulator& simulator, Node& node,
@@ -43,11 +35,6 @@ class MembershipPolicy {
   MembershipPolicy(const MembershipPolicy&) = delete;
   MembershipPolicy& operator=(const MembershipPolicy&) = delete;
 
-  /// Producers report flow-control blockage so the blockage watchdog can
-  /// arm (no-op unless exclude_on_blockage).
-  void producer_blocked();
-  void producer_unblocked();
-
   [[nodiscard]] std::uint64_t exclusions_triggered() const {
     return exclusions_triggered_;
   }
@@ -55,7 +42,6 @@ class MembershipPolicy {
  private:
   void reevaluate_suspicions();
   void act_on_suspicions();
-  void act_on_blockage();
   [[nodiscard]] std::vector<net::ProcessId> current_suspects() const;
   [[nodiscard]] bool is_initiator() const;
 
@@ -64,7 +50,6 @@ class MembershipPolicy {
   fd::FailureDetector& fd_;
   Config config_;
   sim::EventId suspicion_timer_{};
-  sim::EventId blockage_timer_{};
   std::uint64_t exclusions_triggered_ = 0;
 };
 

@@ -298,13 +298,8 @@ std::optional<std::uint64_t> Node::multicast(PayloadPtr payload,
 
 std::pair<std::uint64_t, std::uint64_t> Node::outgoing_purge_window(
     const DataMessage& m) const {
-  // Per-sender relations can only cover same-sender seqs in
-  // [coverage_floor, seq); anything else may relate any two of this
-  // sender's queued messages, so the whole queue is the window.
-  if (config_.relation->per_sender()) {
-    return {config_.relation->coverage_floor(m.ref()), m.seq()};
-  }
-  return {0, std::numeric_limits<std::uint64_t>::max()};
+  // m can only cover this sender's seqs in [coverage_floor, seq).
+  return {config_.relation->coverage_floor(m.ref()), m.seq()};
 }
 
 bool Node::covers_outgoing(const net::MessagePtr& queued, const DataMessage& m,
@@ -810,7 +805,8 @@ void Node::install(const ProposalValue& decided) {
   // purging leaves gaps below the mark that were never received), or a
   // received message covers it through the sender-announced purge-debt
   // chain (a debt-known gap whose live cover arrived needs no retro
-  // repair) — or (c) an accepted message covers it (t3's own test).
+  // repair) — or (c) a queued message covers it (t3's own test; a cover
+  // already delivered does not stop the flush, see covered_by_accepted).
   // Capacity is not enforced here: the flush uses the reserved view-change
   // space (§5.3).
   for (const auto& m : decided.pred_view()) {
@@ -930,18 +926,6 @@ bool Node::on_message(net::ProcessId from, const net::MessagePtr& message,
       }
       SVS_UNREACHABLE("unroutable control message");
   }
-}
-
-std::vector<net::ProcessId> Node::saturated_peers() const {
-  std::vector<net::ProcessId> result;
-  if (config_.out_capacity == 0) return result;
-  for (const auto peer : view_.members()) {
-    if (peer == self_) continue;
-    if (net_.data_backlog(self_, peer) >= config_.out_capacity) {
-      result.push_back(peer);
-    }
-  }
-  return result;
 }
 
 void Node::set_unblocked_callback(std::function<void()> callback) {

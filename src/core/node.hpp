@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -192,10 +191,6 @@ class Node final : public net::Endpoint {
   [[nodiscard]] const consensus::Mux& consensus_mux() const {
     return consensus_mux_;
   }
-
-  /// Peers whose outgoing buffer from this node is at capacity (the
-  /// processes a blockage watchdog would propose to exclude).
-  [[nodiscard]] std::vector<net::ProcessId> saturated_peers() const;
 
   // -- network ----------------------------------------------------------
 

@@ -6,6 +6,12 @@
 #include "util/pool.hpp"
 
 namespace svs::fd {
+namespace {
+
+/// Timeout multiplier applied after a false suspicion.
+constexpr std::int64_t kBackoff = 2;
+
+}  // namespace
 
 HeartbeatDetector::HeartbeatDetector(sim::Simulator& simulator,
                                      net::Transport& network,
@@ -21,7 +27,6 @@ HeartbeatDetector::HeartbeatDetector(sim::Simulator& simulator,
               "heartbeat interval must be positive");
   SVS_REQUIRE(config_.initial_timeout > config_.interval,
               "timeout must exceed the heartbeat interval");
-  SVS_REQUIRE(config_.backoff >= 1.0, "backoff must be >= 1");
   SVS_REQUIRE(std::find(peers_.begin(), peers_.end(), owner_) == peers_.end(),
               "a detector does not monitor its own process");
   for (const auto p : peers_) {
@@ -66,9 +71,7 @@ void HeartbeatDetector::on_heartbeat(net::ProcessId from) {
   if (st.suspected) {
     // False suspicion: revoke and adapt so it eventually stops recurring.
     st.suspected = false;
-    const auto widened = sim::Duration::micros(static_cast<std::int64_t>(
-        static_cast<double>(st.timeout.as_micros()) * config_.backoff));
-    st.timeout = std::min(widened, config_.max_timeout);
+    st.timeout = std::min(st.timeout * kBackoff, config_.max_timeout);
     notify_changed();
   }
   arm_timer(from);

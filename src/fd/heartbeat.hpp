@@ -31,8 +31,6 @@ class HeartbeatDetector final : public FailureDetector {
   struct Config {
     sim::Duration interval = sim::Duration::millis(20);
     sim::Duration initial_timeout = sim::Duration::millis(100);
-    /// Timeout multiplier applied after a false suspicion (>= 1.0).
-    double backoff = 2.0;
     sim::Duration max_timeout = sim::Duration::seconds(10.0);
   };
 

@@ -8,12 +8,20 @@
 namespace svs::fd {
 namespace {
 
-/// Dissemination budget: each update rides ~factor * log2(n) messages, the
-/// classic SWIM bound for whole-group epidemic coverage.
-std::uint32_t dissemination_budget(std::size_t group, std::uint32_t factor) {
+/// k — indirect probe relays per failed direct probe.
+constexpr std::size_t kIndirectProbes = 3;
+/// Maximum membership updates piggybacked on one outgoing message.
+constexpr std::size_t kPiggybackLimit = 8;
+/// Each update rides ~kRetransmitFactor * log2(n) outgoing messages before
+/// it stops disseminating.
+constexpr std::uint32_t kRetransmitFactor = 3;
+
+/// Dissemination budget: the classic SWIM bound for whole-group epidemic
+/// coverage.
+std::uint32_t dissemination_budget(std::size_t group) {
   std::uint32_t lg = 0;
   while ((std::uint64_t{1} << lg) < group + 1) ++lg;
-  return std::max<std::uint32_t>(1, factor * (lg + 1));
+  return kRetransmitFactor * (lg + 1);
 }
 
 }  // namespace
@@ -34,15 +42,10 @@ SwimDetector::SwimDetector(sim::Simulator& simulator, net::Transport& network,
               "direct timeout must fall inside the protocol period");
   SVS_REQUIRE(config_.suspicion_periods >= 1,
               "suspicion must last at least one protocol period");
-  SVS_REQUIRE(config_.piggyback_limit >= 1,
-              "dissemination needs at least one piggyback slot");
-  SVS_REQUIRE(config_.retransmit_factor >= 1,
-              "updates must ride at least one message");
   SVS_REQUIRE(std::find(peers_.begin(), peers_.end(), owner_) == peers_.end(),
               "a detector does not monitor its own process");
   for (const auto p : peers_) members_.emplace(p, Member{});
-  update_budget_ =
-      dissemination_budget(peers_.size() + 1, config_.retransmit_factor);
+  update_budget_ = dissemination_budget(peers_.size() + 1);
 }
 
 void SwimDetector::start() {
@@ -117,14 +120,13 @@ void SwimDetector::begin_probe() {
 
 void SwimDetector::on_direct_timeout(std::uint64_t nonce) {
   if (!probe_active_ || probe_nonce_ != nonce || probe_acked_) return;
-  if (config_.indirect_probes == 0) return;
   // k random relays, distinct, excluding the target and confirmed peers.
   std::vector<net::ProcessId> candidates;
   candidates.reserve(peers_.size());
   for (const auto p : peers_) {
     if (p != probe_target_ && !confirmed(p)) candidates.push_back(p);
   }
-  const std::size_t k = std::min(config_.indirect_probes, candidates.size());
+  const std::size_t k = std::min(kIndirectProbes, candidates.size());
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t pick = i + rng_.below(candidates.size() - i);
     std::swap(candidates[i], candidates[pick]);
@@ -353,7 +355,7 @@ SwimUpdates SwimDetector::take_piggyback() {
     }
     return a->first < b->first;
   });
-  const std::size_t take = std::min(config_.piggyback_limit, entries.size());
+  const std::size_t take = std::min(kPiggybackLimit, entries.size());
   out.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
     out.push_back(entries[i]->second.update);

@@ -116,16 +116,9 @@ class SwimDetector final : public FailureDetector {
     /// ping-req probes go out.  Must leave room for the indirect round
     /// trip before the period ends.
     sim::Duration direct_timeout = sim::Duration::millis(30);
-    /// k — indirect probe relays per failed direct probe.
-    std::size_t indirect_probes = 3;
     /// Suspicion lasts this many protocol periods before it hardens into
     /// a confirm (unless a refutation lands first).
     std::uint32_t suspicion_periods = 3;
-    /// Maximum membership updates piggybacked on one outgoing message.
-    std::size_t piggyback_limit = 8;
-    /// Each update rides ~retransmit_factor * log2(n) outgoing messages
-    /// before it stops disseminating.
-    std::uint32_t retransmit_factor = 3;
     /// Seed of this detector's private sim::Rng stream.
     std::uint64_t seed = 1;
   };

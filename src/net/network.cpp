@@ -8,9 +8,8 @@
 namespace svs::net {
 
 Network::Network(sim::Simulator& simulator, Config config, Hold hold)
-    : sim_(simulator), config_(config), hold_(hold), rng_(config.seed) {
+    : sim_(simulator), config_(config), hold_(hold) {
   SVS_REQUIRE(config_.delay >= sim::Duration::zero(), "delay must be >= 0");
-  SVS_REQUIRE(config_.jitter >= sim::Duration::zero(), "jitter must be >= 0");
 }
 
 void Network::attach(ProcessId id, Endpoint& endpoint) {
@@ -62,13 +61,7 @@ void Network::enqueue(std::uint32_t fi, std::uint32_t ti, Link& l,
   // the entire hot path — never pays a refcount bump here.
   for (std::uint32_t c = copies; c-- > 0;) {
     sim::Duration delay = l.slowdown + injected;
-    if (waits) {
-      delay += config_.delay;
-      if (config_.jitter > sim::Duration::zero()) {
-        delay += sim::Duration::micros(static_cast<std::int64_t>(rng_.below(
-            static_cast<std::uint64_t>(config_.jitter.as_micros()) + 1)));
-      }
-    }
+    if (waits) delay += config_.delay;
     // FIFO per lane: acceptance attempts never reorder, so a message that
     // does not wait still queues behind a held one.
     sim::TimePoint ready = sim_.now() + delay;

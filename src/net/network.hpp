@@ -53,7 +53,6 @@
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "net/types.hpp"
-#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "util/contracts.hpp"
 
@@ -68,11 +67,6 @@ class Network final : public Transport {
     /// Hold::marked (distributed UDP) only Message::held() overwrites do,
     /// and it is the hold that lets the next write purge them.
     sim::Duration delay = sim::Duration::millis(1);
-    /// Extra uniformly distributed jitter in [0, jitter] added to every
-    /// message that waits `delay`.  FIFO order is preserved regardless
-    /// (arrival times are monotone per link lane).
-    sim::Duration jitter = sim::Duration::zero();
-    std::uint64_t seed = 0x5eed;
   };
 
   /// Which messages wait Config::delay in the outgoing buffer.
@@ -103,10 +97,10 @@ class Network final : public Transport {
   /// Fan-out send: enqueues `message` from -> every destination, in order.
   /// The sender row is resolved once; per destination the cost is one dense
   /// index lookup and one queue push.  Equivalent to the send() loop,
-  /// including per-destination jitter draws.  With `skip_self` (the data
-  /// fan-out convention) `from` itself is skipped, so callers can pass a
-  /// whole view membership; without it a loopback copy is enqueued in the
-  /// destination's position (the INIT/PRED broadcast convention).
+  /// including per-destination fault-injector draws.  With `skip_self`
+  /// (the data fan-out convention) `from` itself is skipped, so callers can
+  /// pass a whole view membership; without it a loopback copy is enqueued
+  /// in the destination's position (the INIT/PRED broadcast convention).
   void multicast(ProcessId from, std::span<const ProcessId> destinations,
                  const MessagePtr& message, Lane lane,
                  bool skip_self = true) override;
@@ -305,7 +299,6 @@ class Network final : public Transport {
   sim::Simulator& sim_;
   Config config_;
   Hold hold_;
-  sim::Rng rng_;
 
   // Dense process registry: attach order assigns indices 0..n-1.
   std::vector<Endpoint*> endpoints_;   // dense idx -> endpoint

@@ -115,7 +115,6 @@ class UdpSocket {
   /// Forces the portable single-call path (fallback-equivalence tests and
   /// kernels without sendmmsg/recvmmsg — the first ENOSYS flips it too).
   void set_use_mmsg(bool on) { use_mmsg_ = on; }
-  [[nodiscard]] bool use_mmsg() const { return use_mmsg_; }
 
   /// Blocks until any of `fds` is readable or `timeout_us` elapses, with
   /// microsecond precision (ppoll).  Returns true when at least one is

@@ -229,12 +229,19 @@ AckBlock ReliableLink::ack_state(std::uint32_t window) const {
 // ---------------------------------------------------------------------------
 // UdpTransport
 
+namespace {
+
+/// Seeds the loss model and the per-link RTO jitter streams.
+constexpr std::uint64_t kLaneSeed = 0x0DD5'0CE7;
+
+}  // namespace
+
 UdpTransport::UdpTransport(sim::Simulator& simulator, Config config)
     : inner_(simulator, config.network,
              config.bind_local ? Network::Hold::marked
                                : Network::Hold::every),
       config_(config),
-      loss_(config.lane_seed), wheel_(1) {
+      loss_(kLaneSeed), wheel_(1) {
   loss_.set_default_rate(config.loss_rate);
   // Seat the wheel cursor at the present so the first real arm is a direct
   // placement instead of a multi-level cascade walk from tick 0.
@@ -243,7 +250,6 @@ UdpTransport::UdpTransport(sim::Simulator& simulator, Config config)
   if (config_.bind_local) {
     distributed_ = true;
     procs_.push_back(std::make_unique<Proc>(config_.bind_port));
-    procs_.front()->socket.set_use_mmsg(config_.use_mmsg);
     if (config_.rcvbuf_bytes > 0) {
       procs_.front()->socket.set_rcvbuf(config_.rcvbuf_bytes);
     }
@@ -266,7 +272,6 @@ void UdpTransport::attach(ProcessId id, Endpoint& endpoint) {
   }
   SVS_REQUIRE(!proc_index_.contains(id.value()), "process already attached");
   auto proc = std::make_unique<Proc>(std::uint16_t{0});
-  proc->socket.set_use_mmsg(config_.use_mmsg);
   if (config_.rcvbuf_bytes > 0) proc->socket.set_rcvbuf(config_.rcvbuf_bytes);
   proc->id = id;
   proc->real = &endpoint;
@@ -404,7 +409,7 @@ ReliableLink& UdpTransport::link_for(Proc& p, std::uint32_t peer,
     it = p.links
              .emplace(key, std::make_unique<ReliableLink>(
                                config_.link,
-                               sim::Rng::stream(config_.lane_seed, stream),
+                               sim::Rng::stream(kLaneSeed, stream),
                                lane_stats_))
              .first;
   }

@@ -262,7 +262,7 @@ class ReliableLink {
 class UdpTransport final : public Transport {
  public:
   struct Config {
-    /// Inner link discipline (virtual-time delay/jitter).  All-local mode
+    /// Inner link discipline (virtual-time delay).  All-local mode
     /// delays every message, as the sim backend does; distributed mode
     /// delays only held overwrites (Network::Hold::marked), so there
     /// `delay` is the hold that gives sender-side purging its window.
@@ -271,8 +271,6 @@ class UdpTransport final : public Transport {
     /// distributed deployments want a larger rto_base_us (real scheduling
     /// jitter) — tools/svs_proc sets its own.
     ReliableLink::Config link;
-    /// Seeds the loss model and the per-link RTO jitter streams.
-    std::uint64_t lane_seed = 0x0DD5'0CE7;
     /// Datagram loss probability applied to every link (see loss()).
     double loss_rate = 0.0;
     /// Distributed mode: bind the single local socket eagerly (at
@@ -289,9 +287,6 @@ class UdpTransport final : public Transport {
     /// datagram (the batch fills, and flushes, on its first frame).
     std::size_t batch_bytes = 1400;
     std::int64_t batch_delay_us = 200;
-    /// sendmmsg/recvmmsg on every socket (false forces the portable
-    /// single-call fallback; counters prove which path ran).
-    bool use_mmsg = true;
   };
 
   UdpTransport(sim::Simulator& simulator, Config config);

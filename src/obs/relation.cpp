@@ -65,11 +65,11 @@ void ExplicitRelation::add(net::ProcessId obsolete_sender,
                            std::uint64_t obsolete_seq,
                            net::ProcessId newer_sender,
                            std::uint64_t newer_seq) {
+  SVS_REQUIRE(obsolete_sender == newer_sender && obsolete_seq < newer_seq,
+              "obsolescence relates a message only to earlier messages of "
+              "the same sender");
   const Key older{obsolete_sender.value(), obsolete_seq};
   const Key newer{newer_sender.value(), newer_seq};
-  SVS_REQUIRE(older != newer, "the relation is irreflexive");
-  SVS_REQUIRE(!has_edge(newer, older),
-              "edge would create a cycle; the relation must be a partial order");
 
   // Insert and re-close transitively: everything that reaches `older`
   // now also reaches everything reachable from `newer`.
@@ -80,10 +80,7 @@ void ExplicitRelation::add(net::ProcessId obsolete_sender,
     if (a == newer) from_newer.push_back(b);
   }
   for (const auto& a : into_older) {
-    for (const auto& b : from_newer) {
-      SVS_REQUIRE(a != b, "closure would create a cycle");
-      edges_.emplace(a, b);
-    }
+    for (const auto& b : from_newer) edges_.emplace(a, b);
   }
 }
 

@@ -9,6 +9,13 @@
 // closures into the annotations (see batch.hpp and the paper's §4.2 note on
 // preserving transitivity).
 //
+// Obsolescence is per-sender: each of §4.2's representations (item tags,
+// enumeration, k-enumeration) relates a message only to earlier messages of
+// its own sender, and every Relation here keeps that contract (see
+// covers()).  The protocol relies on it: the delivery queue and the
+// outgoing buffers scan only the covering message's own sender, within
+// [coverage_floor, seq).
+//
 // The same-view restriction of Figure 1's purge function is enforced by the
 // protocol (core/), not here.
 #pragma once
@@ -40,25 +47,17 @@ class Relation {
 
   /// True iff `older ≺ newer` (strict).  Implementations must be
   /// irreflexive and antisymmetric by construction and transitive given
-  /// closure-carrying annotations.
+  /// closure-carrying annotations.  Contract: when it returns true, both
+  /// messages have the same sender and `newer` has the higher seq.
   [[nodiscard]] virtual bool covers(const MessageRef& newer,
                                     const MessageRef& older) const = 0;
 
-  /// True when the relation only ever relates messages of the same sender
-  /// with the newer one carrying the higher sequence number (all of §4.2's
-  /// representations).  The protocol exploits this: with FIFO channels a
-  /// fresh arrival has the highest seq of its sender at the receiver, so
-  /// nothing already accepted can cover it and the t3 suppression test can
-  /// skip scanning the delivered history.  It is also what lets the
-  /// delivery queue index entries by sender and purge without a full scan.
-  [[nodiscard]] virtual bool per_sender() const { return false; }
-
   /// Lowest same-sender sequence number `newer` can possibly cover — the
-  /// per-sender fast path through the representations (DESIGN.md §2): an
-  /// indexed purge only visits seqs in [coverage_floor(newer), newer.seq)
-  /// instead of every entry of the sender.  Must be conservative (may
-  /// under-estimate, never over-estimate).  Only meaningful for per_sender
-  /// relations; the default claims the whole prefix.
+  /// fast path through the representations (DESIGN.md §2): an indexed
+  /// purge only visits seqs in [coverage_floor(newer), newer.seq) instead
+  /// of every entry of the sender.  Must be conservative (may
+  /// under-estimate, never over-estimate); the default claims the whole
+  /// prefix.
   [[nodiscard]] virtual std::uint64_t coverage_floor(
       const MessageRef& newer) const {
     (void)newer;
@@ -77,7 +76,6 @@ using RelationPtr = std::shared_ptr<const Relation>;
 /// "reliable" baseline.
 class EmptyRelation final : public Relation {
  public:
-  [[nodiscard]] bool per_sender() const override { return true; }
   [[nodiscard]] bool covers(const MessageRef&,
                             const MessageRef&) const override {
     return false;
@@ -92,7 +90,6 @@ class EmptyRelation final : public Relation {
 /// Item tagging (§4.2): same sender + same tag, higher sequence wins.
 class ItemTagRelation final : public Relation {
  public:
-  [[nodiscard]] bool per_sender() const override { return true; }
   [[nodiscard]] bool covers(const MessageRef& newer,
                             const MessageRef& older) const override;
   [[nodiscard]] const char* name() const override { return "item-tag"; }
@@ -102,7 +99,6 @@ class ItemTagRelation final : public Relation {
 /// sequence numbers (same sender) it obsoletes.
 class EnumerationRelation final : public Relation {
  public:
-  [[nodiscard]] bool per_sender() const override { return true; }
   [[nodiscard]] bool covers(const MessageRef& newer,
                             const MessageRef& older) const override;
   [[nodiscard]] std::uint64_t coverage_floor(
@@ -114,7 +110,6 @@ class EnumerationRelation final : public Relation {
 /// m'.bm[m'.sn − m.sn]".
 class KEnumRelation final : public Relation {
  public:
-  [[nodiscard]] bool per_sender() const override { return true; }
   [[nodiscard]] bool covers(const MessageRef& newer,
                             const MessageRef& older) const override;
   [[nodiscard]] std::uint64_t coverage_floor(
@@ -123,11 +118,10 @@ class KEnumRelation final : public Relation {
 };
 
 /// Test helper: an arbitrary, explicitly constructed partial order over
-/// (sender, seq) pairs — including cross-sender pairs, which the abstract
-/// SVS specification permits even though the compact representations are
-/// per-sender.  add() inserts an edge and maintains the transitive closure;
-/// it rejects edges that would create a cycle (the relation must stay a
-/// strict partial order).
+/// (sender, seq) pairs.  add() inserts an edge and maintains the transitive
+/// closure; it rejects edges that break the per-sender contract (a
+/// different sender, or a newer seq that is not higher), which also keeps
+/// the relation a strict partial order.
 class ExplicitRelation final : public Relation {
  public:
   using Key = std::pair<std::uint32_t, std::uint64_t>;  // (sender raw, seq)

@@ -242,7 +242,6 @@ class PlannedItemTruth final : public obs::Relation {
   explicit PlannedItemTruth(std::vector<std::vector<std::uint64_t>> items)
       : items_(std::move(items)) {}
 
-  [[nodiscard]] bool per_sender() const override { return true; }
   [[nodiscard]] bool covers(const obs::MessageRef& newer,
                             const obs::MessageRef& older) const override {
     if (newer.sender != older.sender || newer.seq <= older.seq) return false;

@@ -26,9 +26,20 @@
 //
 // Regenerate by printing the RunResult fields of these two configs (e.g.
 // temporarily EXPECT_EQ against 0 and read the failure output).
+//
+// The explorer golden pins fault-injected behaviour the same way: the sums
+// of ScenarioExplorer::run over seeds 1..100 under four pins, the values
+// `svs_explore --seeds=100 [--relation=kenum | --fd=swim | --fd=heartbeat]`
+// prints as "sim events".  Jitter, partitions, crashes, duplication, loss,
+// all three failure detectors and view changes under every relation feed
+// these totals, so a change to any of them moves a number here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "bench/common.hpp"
+#include "sim/explorer.hpp"
 #include "workload/game_generator.hpp"
 
 namespace svs {
@@ -100,6 +111,41 @@ TEST(DeterminismGolden, RepeatRunsAreIdentical) {
   EXPECT_EQ(a.purged_sender, b.purged_sender);
   EXPECT_EQ(a.purged_receiver, b.purged_receiver);
   EXPECT_EQ(a.idle_fraction, b.idle_fraction);
+}
+
+// Seeds 1..100 of the scenario explorer, per pin: the simulator events and
+// the data deliveries summed over all runs, every run free of violations.
+TEST(DeterminismGolden, ExplorerTotalsOverSeeds1To100) {
+  struct Pin {
+    const char* name;
+    std::optional<sim::RelationKind> relation;
+    std::optional<sim::FdBackend> fd;
+    std::uint64_t sim_events;
+    std::uint64_t deliveries;
+  };
+  const Pin pins[] = {
+      {"unpinned", std::nullopt, std::nullopt, 556'397u, 35'866u},
+      {"kenum", sim::RelationKind::k_enum, std::nullopt, 558'463u, 35'224u},
+      {"swim", std::nullopt, sim::FdBackend::swim, 549'636u, 31'517u},
+      {"heartbeat", std::nullopt, sim::FdBackend::heartbeat, 762'429u, 36'735u},
+  };
+  const sim::ScenarioExplorer explorer;
+  for (const Pin& pin : pins) {
+    std::uint64_t sim_events = 0;
+    std::uint64_t deliveries = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      sim::ScenarioSpec spec;
+      spec.seed = seed;
+      spec.relation_pin = pin.relation;
+      spec.fd_pin = pin.fd;
+      const sim::ScenarioOutcome outcome = explorer.run(spec);
+      EXPECT_TRUE(outcome.violations.empty()) << pin.name << " seed " << seed;
+      sim_events += outcome.sim_events;
+      deliveries += outcome.deliveries;
+    }
+    EXPECT_EQ(sim_events, pin.sim_events) << pin.name;
+    EXPECT_EQ(deliveries, pin.deliveries) << pin.name;
+  }
 }
 
 }  // namespace

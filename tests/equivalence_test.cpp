@@ -12,13 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/group.hpp"
 #include "core/message.hpp"
+#include "link_jitter.hpp"
 #include "net/fault_injector.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/batch.hpp"
@@ -243,10 +243,10 @@ void expect_equivalent(const ScenarioResult& a, const ScenarioResult& b) {
 /// producer retries around flow-control blockage, so sender-side purging,
 /// refusals and the view-change flush all fire on both backends.
 ///
-/// With `faults`, the crash moves into the plan and the run additionally
-/// carries per-link jitter, a healed partition and data duplication through
-/// the Transport fault hooks — the injector is rebuilt per run, so both
-/// backends see identical fault randomness.
+/// Every link carries jitter through the Transport fault hooks.  With
+/// `faults`, the crash moves into the plan and the run additionally carries
+/// more jitter, a healed partition and data duplication — the injector is
+/// rebuilt per run, so both backends see identical fault randomness.
 ScenarioResult run_scenario(core::Group::Backend backend,
                             const sim::FaultPlan* faults = nullptr,
                             core::Group::FdKind fd = core::Group::FdKind::oracle) {
@@ -259,8 +259,6 @@ ScenarioResult run_scenario(core::Group::Backend backend,
   cfg.node.relation = std::make_shared<obs::ItemTagRelation>();
   cfg.node.delivery_capacity = 12;
   cfg.node.out_capacity = 12;
-  cfg.network.jitter = sim::Duration::micros(500);
-  cfg.network.seed = 0xfeedface;
   cfg.auto_membership = true;
   cfg.fd_kind = fd;
   if (fd == core::Group::FdKind::swim) {
@@ -272,13 +270,13 @@ ScenarioResult run_scenario(core::Group::Backend backend,
     cfg.swim.suspicion_periods = 2;
     cfg.swim.seed = 0x5117;
   }
-  std::optional<PlannedFaultInjector> injector;
-  if (faults != nullptr) injector.emplace(*faults);
+  PlannedFaultInjector injector(test::with_link_jitter(
+      faults != nullptr ? *faults
+                        : sim::FaultPlan{.seed = 0xfeedface, .faults = {}},
+      kNodes, sim::Duration::micros(500)));
   core::Group group(sim, cfg);
-  if (injector.has_value()) {
-    group.network().set_fault_injector(&*injector);
-    schedule_crashes(sim, group.network(), *faults);
-  }
+  group.network().set_fault_injector(&injector);
+  schedule_crashes(sim, group.network(), injector.plan());
 
   ScenarioResult result;
   result.events.resize(kNodes);
@@ -556,10 +554,12 @@ ScenarioResult run_debt_scenario(core::Group::Backend backend) {
   cfg.node.relation = std::make_shared<obs::KEnumRelation>();
   cfg.node.delivery_capacity = 3;
   cfg.node.out_capacity = 10;
-  cfg.network.jitter = sim::Duration::micros(300);
-  cfg.network.seed = 0xdeb7;
   cfg.auto_membership = true;
+  PlannedFaultInjector injector(test::with_link_jitter(
+      sim::FaultPlan{.seed = 0xdeb7, .faults = {}}, kNodes,
+      sim::Duration::micros(300)));
   core::Group group(sim, cfg);
+  group.network().set_fault_injector(&injector);
 
   ScenarioResult result;
   result.events.resize(kNodes);

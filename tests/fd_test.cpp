@@ -101,7 +101,6 @@ struct HeartbeatFixture : ::testing::Test {
   HeartbeatDetector::Config config_{
       .interval = sim::Duration::millis(20),
       .initial_timeout = sim::Duration::millis(100),
-      .backoff = 2.0,
       .max_timeout = sim::Duration::seconds(5.0)};
   Router routers_[kN];
   std::unique_ptr<HeartbeatDetector> detectors_[kN];
@@ -220,10 +219,7 @@ SwimDetector::Config swim_config() {
   SwimDetector::Config config;
   config.period = sim::Duration::millis(20);
   config.direct_timeout = sim::Duration::millis(6);
-  config.indirect_probes = 2;
   config.suspicion_periods = 2;
-  config.piggyback_limit = 8;
-  config.retransmit_factor = 3;
   config.seed = 77;
   return config;
 }
@@ -347,10 +343,8 @@ TEST(SwimDetectorTest, ConfirmedMemberRecoversThroughProbeRefutation) {
 }
 
 TEST(SwimDetectorTest, PiggybackRespectsLimit) {
-  auto config = swim_config();
-  config.piggyback_limit = 4;
-  SwimHarness h(12, config, /*start=*/false);
-  // Ten fresh suspicions all want to disseminate; one ack has room for 4.
+  SwimHarness h(12, swim_config(), /*start=*/false);
+  // Ten fresh suspicions all want to disseminate; one ack has room for 8.
   SwimUpdates updates;
   for (std::uint32_t i = 2; i < 12; ++i) {
     updates.push_back({net::ProcessId(i), SwimUpdate::Status::suspect, 0});
@@ -360,7 +354,7 @@ TEST(SwimDetectorTest, PiggybackRespectsLimit) {
       std::make_shared<SwimPingMessage>(/*nonce=*/5, std::move(updates)));
   h.sim.run();
   ASSERT_EQ(h.routers[1].acks.size(), 1u);
-  EXPECT_EQ(h.routers[1].acks.front()->updates().size(), 4u);
+  EXPECT_EQ(h.routers[1].acks.front()->updates().size(), 8u);
 }
 
 TEST(SwimDetectorTest, SameSeedRunsAreBitIdentical) {

@@ -226,23 +226,6 @@ TEST_F(NetFixture, LinkSlowdownDelaysDelivery) {
   EXPECT_EQ(sinks[1].received.size(), 1u);
 }
 
-TEST_F(NetFixture, JitterPreservesFifo) {
-  sim::Simulator jsim;
-  Network jnet(jsim, {.delay = sim::Duration::millis(1),
-                      .jitter = sim::Duration::millis(10),
-                      .seed = 99});
-  Sink a, b;
-  jnet.attach(ProcessId(0), a);
-  jnet.attach(ProcessId(1), b);
-  for (int i = 0; i < 50; ++i) {
-    jnet.send(ProcessId(0), ProcessId(1), std::make_shared<TestMessage>(i),
-              Lane::data);
-  }
-  jsim.run();
-  ASSERT_EQ(b.received.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(tag_of(b.received[i].message), i);
-}
-
 TEST_F(NetFixture, DoubleAttachRejected) {
   Sink extra;
   EXPECT_THROW(network.attach(ProcessId(0), extra), util::ContractViolation);

@@ -279,29 +279,6 @@ TEST(Node, MarksHeldExactlyTheOverwritesItCanPurgeWith) {
             (Marks{false, false, false}));
 }
 
-TEST(Node, LateObsoleteArrivalIsSuppressed) {
-  // Cross-sender relation: p1's message covers p0's.  p0's link to p2 is
-  // slowed so the covering message arrives first.
-  sim::Simulator sim;
-  auto relation = std::make_shared<obs::ExplicitRelation>();
-  relation->add(net::ProcessId(0), 1, net::ProcessId(1), 1);
-  SpecChecker checker(relation);
-  Group g(sim, base_config(relation, &checker));
-  g.network().set_link_slowdown(g.pid(0), g.pid(2), sim::Duration::millis(100));
-
-  ASSERT_TRUE(g.node(0).multicast(blob(10), obs::Annotation::none()));
-  ASSERT_TRUE(g.node(1).multicast(blob(20), obs::Annotation::none()));
-  sim.run();
-
-  const auto msgs = data_of(g.drain(2));
-  ASSERT_EQ(msgs.size(), 1u);
-  EXPECT_EQ(blob_id(msgs[0]), 20);
-  EXPECT_EQ(g.node(2).stats().suppressed_obsolete, 1u);
-  g.drain(0);
-  g.drain(1);
-  EXPECT_EQ(checker.verify(), std::vector<std::string>{});
-}
-
 TEST(Node, FlowControlBlocksAndUnblocksProducer) {
   sim::Simulator sim;
   auto cfg = base_config(std::make_shared<obs::EmptyRelation>());
@@ -323,7 +300,11 @@ TEST(Node, FlowControlBlocksAndUnblocksProducer) {
   EXPECT_GT(accepted, 3);
   EXPECT_LE(accepted, 20);  // delivery queue (4) + out buffer (4) + slack
   EXPECT_FALSE(g.node(0).can_multicast());
-  EXPECT_FALSE(g.node(0).saturated_peers().empty());
+  // Some outgoing buffer from the producer is at capacity.
+  const auto backlog = [&](std::size_t i) {
+    return g.network().data_backlog(g.pid(0), g.pid(i));
+  };
+  EXPECT_GE(std::max(backlog(1), backlog(2)), cfg.node.out_capacity);
   EXPECT_GT(g.node(1).stats().refused_data, 0u);
 
   bool unblocked = false;
@@ -597,47 +578,6 @@ TEST(Node, ViewChangeLatencyRecorded) {
   EXPECT_GT(g.node(0).stats().last_change_latency, sim::Duration::zero());
   EXPECT_LT(g.node(0).stats().last_change_latency, sim::Duration::seconds(1.0));
 }
-
-TEST(Node, BlockageWatchdogExcludesSaturatedPeer) {
-  sim::Simulator sim;
-  auto cfg = base_config(std::make_shared<obs::EmptyRelation>());
-  cfg.node.out_capacity = 3;
-  cfg.node.delivery_capacity = 3;
-  cfg.membership.exclude_on_blockage = true;
-  cfg.membership.blockage_grace = sim::Duration::millis(100);
-  Group g(sim, cfg);
-
-  // Consume at nodes 0 and 1 so only node 2 backs up.
-  bool done[3] = {false, false, false};
-  g.node(0).set_deliverable_callback([&] { g.drain(0); });
-  g.node(1).set_deliverable_callback([&] { g.drain(1); });
-  (void)done;
-
-  // Flood from node 0; report blockage to its policy.
-  int sent = 0;
-  std::function<void()> pump = [&] {
-    while (sent < 200) {
-      if (!g.node(0).multicast(blob(sent), obs::Annotation::none())) {
-        if (auto* p = g.policy(0)) p->producer_blocked();
-        return;
-      }
-      ++sent;
-    }
-  };
-  g.node(0).set_unblocked_callback([&] {
-    if (auto* p = g.policy(0)) p->producer_unblocked();
-    pump();
-  });
-  pump();
-  sim.run_until(sim.now() + sim::Duration::seconds(5.0));
-
-  // The stalled receiver got expelled and throughput resumed.
-  EXPECT_EQ(g.node(0).current_view().id(), ViewId(1));
-  EXPECT_FALSE(g.node(0).current_view().contains(g.pid(2)));
-  EXPECT_TRUE(g.node(2).excluded());
-  EXPECT_EQ(sent, 200);
-}
-
 
 TEST(Node, StabilityGossipCollectsDeliveredHistory) {
   sim::Simulator sim;

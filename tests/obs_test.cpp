@@ -246,12 +246,17 @@ TEST(ExplicitRelation, ClosureAndCycleRejection) {
                util::ContractViolation);
 }
 
-TEST(ExplicitRelation, CrossSenderEdgesSupported) {
+TEST(ExplicitRelation, CrossSenderEdgesRejected) {
+  // Obsolescence is per-sender (Relation::covers' contract): an edge
+  // between two senders' messages is refused, whatever their seqs.
   ExplicitRelation rel;
   const auto none = Annotation::none();
-  rel.add(ProcessId(0), 1, ProcessId(1), 1);
-  EXPECT_TRUE(rel.covers(ref(ProcessId(1), 1, none), ref(ProcessId(0), 1, none)));
-  EXPECT_FALSE(rel.covers(ref(ProcessId(0), 1, none), ref(ProcessId(1), 1, none)));
+  EXPECT_THROW(rel.add(ProcessId(0), 1, ProcessId(1), 1),
+               util::ContractViolation);
+  EXPECT_THROW(rel.add(ProcessId(0), 1, ProcessId(1), 2),
+               util::ContractViolation);
+  EXPECT_FALSE(
+      rel.covers(ref(ProcessId(1), 2, none), ref(ProcessId(0), 1, none)));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@
 
 #include "core/group.hpp"
 #include "core/message.hpp"
+#include "link_jitter.hpp"
 #include "net/dgram.hpp"
+#include "net/fault_injector.hpp"
 #include "net/udp.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/annotation.hpp"
@@ -278,12 +280,14 @@ SmallRunResult run_small(core::Group::Backend backend, double loss_rate,
   cfg.node.relation = std::make_shared<obs::ItemTagRelation>();
   cfg.node.delivery_capacity = 12;
   cfg.node.out_capacity = 12;
-  cfg.network.jitter = sim::Duration::micros(400);
-  cfg.network.seed = 0xca11;
   cfg.auto_membership = true;
   cfg.udp_loss_rate = loss_rate;
   cfg.udp_rcvbuf_bytes = rcvbuf_bytes;
+  PlannedFaultInjector injector(test::with_link_jitter(
+      sim::FaultPlan{.seed = 0xca11, .faults = {}}, kNodes,
+      sim::Duration::micros(400)));
   core::Group group(sim, cfg);
+  group.network().set_fault_injector(&injector);
 
   SmallRunResult result;
   result.events.resize(kNodes);
