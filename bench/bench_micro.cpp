@@ -388,7 +388,7 @@ bench::JsonObject measure_udp_loopback_flood() {
   auto* udp = group.udp();
   const std::int64_t drain = net::UdpTransport::mono_us() + 10'000'000;
   while (!udp->links_idle() && net::UdpTransport::mono_us() < drain) {
-    udp->service(1'000);
+    udp->pump(1'000);
   }
   const double seconds = wall.seconds();
   const auto lane = udp->lane_stats();

@@ -22,14 +22,14 @@ class ValueBase {
   ValueBase& operator=(const ValueBase&) = delete;
   virtual ~ValueBase() = default;
 
-  /// Exact encoded size of the value body; the registered value codec
+  /// Exact encoded size of the value body; the value codec
   /// (net/codec.hpp) asserts the equality at every encode.  Kind-0 values
   /// are encoded as `wire_size()` filler bytes.
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
 
   /// Wire-decode tag, mirroring core::Payload::payload_kind.  0 is the
   /// opaque fallback (size-preserving, not interpretable after a round
-  /// trip); protocols claim small positive values and register a codec.
+  /// trip); core::ProposalValue is the one other kind the codec knows.
   [[nodiscard]] virtual std::uint32_t value_kind() const { return 0; }
 };
 

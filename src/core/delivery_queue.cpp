@@ -181,14 +181,12 @@ std::size_t DeliveryQueue::collect_delivered(
 // ---------------------------------------------------------------------------
 
 bool DeliveryQueue::covered_by_accepted(const DataMessage& m, ViewId cv) {
-  SVS_ASSERT(m.view() == cv, "t3/t7 only test messages of the current view");
+  SVS_ASSERT(m.view() == cv, "t7 only tests messages of the current view");
   // A cover shares m's sender and carries a higher seq (Relation::covers),
   // and only queued entries are scanned: a linear walk over the sender's
   // packed columns above m's seq.
   //
-  // At t3 that loses nothing.  FIFO channels deliver a sender's seqs in
-  // order, so nothing delivered here from m's sender lies above a fresh
-  // arrival.  At t7 it does: a flushed-in m can be a gap whose cover was
+  // That loses something.  A flushed-in m can be a gap whose cover was
   // already delivered here, with the cover's purge debt not yet gossiped,
   // and that cover does not stop the flush — m is delivered after it.
   // Repro: `svs_explore --seed=1089 --relation=kenum --faults=0x0

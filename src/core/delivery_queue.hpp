@@ -113,10 +113,9 @@ class DeliveryQueue {
 
   // -- semantic purging ---------------------------------------------------
 
-  /// True iff some queued message of view `cv` covers m — the suppression
-  /// test of t3 and flush rule (c) of t7.  The delivered history is not
-  /// scanned; see the definition for why t3 loses nothing by that and t7
-  /// does.
+  /// True iff some queued message of view `cv` covers m — flush rule (c)
+  /// of t7.  The delivered history is not scanned; see the definition for
+  /// what t7 loses by that.
   [[nodiscard]] bool covered_by_accepted(const DataMessage& m, ViewId cv);
 
   /// Number of queued entries purge_with(by) would remove, without removing

@@ -27,15 +27,15 @@ class Payload {
   Payload& operator=(const Payload&) = delete;
   virtual ~Payload() = default;
 
-  /// Exact number of bytes this payload's registered codec writes
-  /// (net::PayloadCodecRegistry asserts the equality at every encode).
-  /// Kind-0 payloads are encoded as `wire_size()` filler bytes.
+  /// Exact number of bytes this payload's codec writes (net/codec.cpp
+  /// asserts the equality at every encode).  Kind-0 payloads are encoded
+  /// as `wire_size()` filler bytes.
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
 
   /// Application-level decode tag (the data-lane analogue of
   /// net::MessageType, so consumers dispatch without RTTI).  0 is reserved
-  /// for opaque payloads; applications claim small positive values and
-  /// register a codec for them (net/codec.hpp).
+  /// for opaque payloads; workload::ItemOp is the one other kind the codec
+  /// knows (net/codec.hpp), and any other kind cannot be encoded.
   [[nodiscard]] virtual std::uint32_t payload_kind() const { return 0; }
 };
 
@@ -92,8 +92,8 @@ struct PurgeDebt {
 
 /// A member's stability report (§2.1, DESIGN.md §3/§7) — the one section
 /// every stability carrier ships: a gossip round (StabilityMessage), a
-/// piggyback on DATA (StabilityPiggyback) and a relayed digest row
-/// (StabilityDigestMessage::Row).  Each carrier adds only its own header.
+/// piggyback on DATA (StabilityPiggyback) and a relayed row
+/// (StabilityMessage::Row).  Each carrier adds only its own header.
 ///
 ///   * `seen` — per-sender *covered frontiers*: the largest seq below which
 ///     every message of that channel is provably received here or purged
@@ -241,38 +241,21 @@ class PredMessage final : public net::Message {
 /// view is still accounted).  Nodes exchange these so the stable prefix of
 /// the delivered history can be garbage-collected — which is also what
 /// keeps the PRED messages and the agreed pred-view small.
+///
+/// A round goes to the sender's successors in the view: every other member
+/// below 16 members, two ring successors at or above (DESIGN.md §11).  On
+/// the ring a round also carries the `relayed` rows — other origins'
+/// rounds as best known by the sender — so knowledge spreads in hops.  A
+/// row is exactly the content of its origin's own round, so a receiver
+/// merges it as if that round had arrived directly; every merge is an
+/// idempotent, commutative max/union, which makes multi-hop relaying sound
+/// in any arrival order.  The wire tag follows from the rows:
+/// MessageType::stability without, MessageType::stability_digest with.
 class StabilityMessage final : public net::Message {
  public:
-  StabilityMessage(ViewId view, std::uint64_t anchor, StabilityReport report)
-      : net::Message(net::MessageType::stability),
-        view_(view),
-        anchor_(anchor),
-        report_(std::move(report)) {}
-
-  [[nodiscard]] ViewId view() const { return view_; }
-  [[nodiscard]] std::uint64_t anchor() const { return anchor_; }
-  [[nodiscard]] const StabilityReport& report() const { return report_; }
-
- private:
-  ViewId view_;
-  std::uint64_t anchor_;
-  StabilityReport report_;
-};
-
-/// Ring-aggregated stability digest (DESIGN.md §11).  At scale the
-/// all-to-all stability gossip is replaced by round-robin aggregation: each
-/// round a member ships its best-known per-origin stability rows to O(1)
-/// successors on a deterministic ring.  A row is exactly the content of the
-/// origin's own stability round — its per-view anchor (when known here)
-/// and its report — so a receiver merges each row as if the origin's gossip
-/// had arrived directly.  All row merges are idempotent, commutative
-/// max/union operations, which is what makes multi-hop relaying sound
-/// regardless of arrival order.
-class StabilityDigestMessage final : public net::Message {
- public:
-  /// One origin's stability round as best known by the relayer.  The
-  /// anchor is optional: a relayer can usefully forward an origin's
-  /// frontier report before it has learned that origin's channel anchor.
+  /// One origin's round as best known by the relayer.  The anchor is
+  /// optional: a relayer can usefully forward an origin's frontier report
+  /// before it has learned that origin's channel anchor.
   struct Row {
     net::ProcessId origin;
     std::optional<std::uint64_t> anchor;
@@ -282,21 +265,26 @@ class StabilityDigestMessage final : public net::Message {
   };
   using Rows = std::vector<Row>;
 
-  StabilityDigestMessage(ViewId view, Rows rows)
-      : net::Message(net::MessageType::stability_digest),
+  StabilityMessage(ViewId view, std::uint64_t anchor, StabilityReport report,
+                   Rows relayed = {})
+      : net::Message(relayed.empty() ? net::MessageType::stability
+                                     : net::MessageType::stability_digest),
         view_(view),
-        rows_(std::move(rows)) {}
+        anchor_(anchor),
+        report_(std::move(report)),
+        relayed_(std::move(relayed)) {}
 
   [[nodiscard]] ViewId view() const { return view_; }
-  [[nodiscard]] const Rows& rows() const { return rows_; }
+  [[nodiscard]] std::uint64_t anchor() const { return anchor_; }
+  [[nodiscard]] const StabilityReport& report() const { return report_; }
+  [[nodiscard]] const Rows& relayed() const { return relayed_; }
 
  private:
   ViewId view_;
-  Rows rows_;
+  std::uint64_t anchor_;
+  StabilityReport report_;
+  Rows relayed_;
 };
-
-using StabilityDigestMessagePtr =
-    std::shared_ptr<const StabilityDigestMessage>;
 
 /// The value decided by consensus at t7: (next-view, pred-view).
 class ProposalValue final : public consensus::ValueBase {
@@ -314,7 +302,7 @@ class ProposalValue final : public consensus::ValueBase {
 
   [[nodiscard]] std::size_t wire_size() const override {
     // view id + member count + member ids, pred count + full data-message
-    // encodings — exactly what the registered value codec writes.
+    // encodings — exactly what the value codec writes.
     std::size_t n = util::varint_size(next_view_.id().value()) +
                     util::varint_size(next_view_.size());
     for (const auto p : next_view_.members()) n += util::varint_size(p.value());

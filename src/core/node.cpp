@@ -15,11 +15,11 @@ namespace {
 constexpr std::uint64_t kSilentRoundPeriod = 4;
 constexpr std::uint64_t kHeartbeatBudget = 8;
 
-// Ring-aggregated stability digests (DESIGN.md §11): views of at least
-// kDigestRingThreshold members ship per-origin digest rows to
-// kDigestRingFanout deterministic ring successors instead of multicasting
-// an all-to-all StabilityMessage — O(fanout) control messages per member
-// per round instead of O(n).  Smaller views (every golden) stay all-to-all.
+// Stability successors (DESIGN.md §11): in views of at least
+// kDigestRingThreshold members a round goes to kDigestRingFanout
+// deterministic ring successors, carrying the rows it relays — O(fanout)
+// control messages per member per round instead of O(n).  Smaller views
+// (every golden) send it to every other member and relay nothing.
 constexpr std::size_t kDigestRingThreshold = 16;
 constexpr std::size_t kDigestRingFanout = 2;
 
@@ -66,18 +66,21 @@ Node::Node(sim::Simulator& simulator, net::Transport& network,
   // The first view notification, so applications always learn membership
   // from the delivery stream.
   queue_.push_view(view_);
-  compute_ring_successors();
+  compute_successors();
 }
 
 // ---------------------------------------------------------------------------
-// digest ring (DESIGN.md §11)
+// stability successors and relayed rows (DESIGN.md §11)
 // ---------------------------------------------------------------------------
 
-bool Node::ring_mode() const { return view_.size() >= kDigestRingThreshold; }
-
-void Node::compute_ring_successors() {
-  ring_successors_.clear();
-  if (!ring_mode()) return;
+void Node::compute_successors() {
+  successors_.clear();
+  if (view_.size() < kDigestRingThreshold) {
+    for (const auto p : view_.members()) {
+      if (p != self_) successors_.push_back(p);
+    }
+    return;
+  }
   // Deterministic ring: members ordered by their splitmix64 hash (id as
   // tie-break), successors are the next fanout members after self.  Every
   // member computes the same ring from the agreed view, no coordination.
@@ -94,15 +97,19 @@ void Node::compute_ring_successors() {
   SVS_ASSERT(self_pos != ring.end(), "this node is in its own view");
   const std::size_t start =
       static_cast<std::size_t>(self_pos - ring.begin());
-  const std::size_t fanout = std::min(kDigestRingFanout, ring.size() - 1);
-  ring_successors_.reserve(fanout);
-  for (std::size_t i = 1; i <= fanout; ++i) {
-    ring_successors_.push_back(ring[(start + i) % ring.size()]);
+  for (std::size_t i = 1; i <= kDigestRingFanout; ++i) {
+    successors_.push_back(ring[(start + i) % ring.size()]);
   }
 }
 
-StabilityDigestMessage::Row Node::make_relay_row(net::ProcessId origin) const {
-  StabilityDigestMessage::Row row;
+std::size_t Node::relayed_debts() const {
+  std::size_t count = 0;
+  for (const auto& [origin, debts] : relay_debts_) count += debts.size();
+  return count;
+}
+
+StabilityMessage::Row Node::make_relay_row(net::ProcessId origin) const {
+  StabilityMessage::Row row;
   row.origin = origin;
   row.anchor = stability_.channel_anchor(origin);
   const auto& reports = stability_.peer_reports();
@@ -118,42 +125,6 @@ StabilityDigestMessage::Row Node::make_relay_row(net::ProcessId origin) const {
     }
   }
   return row;
-}
-
-void Node::retain_relay_debts(net::ProcessId origin,
-                              const StabilityReport::Debts& debts) {
-  if (debts.empty()) return;
-  auto& retained = relay_debts_[origin];
-  for (const auto& debt : debts) {
-    retained.try_emplace(debt.seq, debt.cover_seq);
-  }
-}
-
-void Node::handle_stability_digest(
-    net::ProcessId from,
-    const std::shared_ptr<const StabilityDigestMessage>& m) {
-  (void)from;
-  if (excluded_ || m->view() != view_.id()) return;  // stale or early; drop
-  bool any_news = false;
-  for (const auto& row : m->rows()) {
-    if (row.origin == self_) continue;  // nobody relays our state to us
-    // Idempotent, commutative max/union merges: multi-hop relay order never
-    // matters.  Relayed debts are retained for onward relay even when this
-    // row taught nothing, since a successor may still need them.
-    const bool news = merge_stability(row.origin, row.anchor, row.report);
-    retain_relay_debts(row.origin, row.report.debts);
-    if (news) {
-      dirty_rows_.insert(row.origin);
-      any_news = true;
-    }
-  }
-  collect_stable();
-  if (stability_.dirty() || !dirty_rows_.empty()) {
-    note_gossip_progress();
-    arm_stability_gossip();
-    return;
-  }
-  consider_refresh(any_news);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,13 +358,6 @@ bool Node::handle_data(net::ProcessId from, const DataMessagePtr& m) {
     return true;  // consumed; the original already went through t3
   }
 
-  // t3's test: already covered by an accepted message?
-  if (queue_.covered_by_accepted(*m, view_.id())) {
-    ++stats_.suppressed_obsolete;
-    note_seen(*m);
-    return true;  // consumed; never enters the queue
-  }
-
   // Count the space its purging would free before checking capacity.
   std::size_t victims = 0;
   if (config_.purge_delivery_queue) {
@@ -454,8 +418,7 @@ void Node::gossip_stability() {
   // only a view change can lift) parks the timer instead of ticking
   // forever.
   bool force_full = false;
-  const bool relay_news = ring_mode() && !dirty_rows_.empty();
-  if (!stability_.dirty() && !relay_news) {
+  if (!stability_.dirty() && dirty_rows_.empty()) {
     if (refresh_pending_) {
       refresh_pending_ = false;
       force_full = true;  // anti-entropy response to a still-gossiping peer
@@ -513,53 +476,39 @@ void Node::gossip_stability() {
                     gossip_round_ % kFullGossipPeriod == 0;
   ++gossip_round_;
   auto report = take_report(full);
-  const std::uint64_t anchor = view_first_seq_ - 1;
-  if (ring_mode()) {
-    // Ring digest (DESIGN.md §11): the self row is exactly the all-to-all
-    // round's content, followed by the relayed rows that changed since the
-    // last digest (every known row on full rounds, the self-healing
-    // analogue of the full-vector gossip).  Shipped to O(fanout) ring
-    // successors instead of the whole view.
-    StabilityDigestMessage::Rows rows;
-    rows.push_back(
-        StabilityDigestMessage::Row{self_, anchor, std::move(report)});
+  StabilityMessage::Rows relayed;
+  if (relays()) {
+    // The relayed rows that changed since the last round — every known row
+    // on full rounds, the self-healing analogue of the full-vector gossip.
     if (full) {
       for (const auto& peer : stability_.peer_reports()) {
-        if (peer.first == self_) continue;
-        rows.push_back(make_relay_row(peer.first));
+        if (peer.first != self_) relayed.push_back(make_relay_row(peer.first));
       }
     } else {
       for (const auto origin : dirty_rows_) {
-        if (origin == self_) continue;
-        rows.push_back(make_relay_row(origin));
+        if (origin != self_) relayed.push_back(make_relay_row(origin));
       }
     }
     dirty_rows_.clear();
     ++stats_.digest_rounds;
-    stats_.digest_rows_sent += rows.size();
-    const auto digest = util::pool_shared<StabilityDigestMessage>(
-        view_.id(), std::move(rows));
-    for (const auto successor : ring_successors_) {
-      net_.send(self_, successor, digest, net::Lane::control);
-    }
-    arm_stability_gossip();  // keep gossiping while traffic flows
-    return;
+    stats_.digest_rows_sent += relayed.size() + 1;  // the sender's own row too
   }
-
   if (!full) {
     // Bytes the full report would have cost over this delta, credited
-    // across the fan-out.  The ledger aggregates the full report's entry
+    // across the successors.  The ledger aggregates the full report's entry
     // bytes incrementally, so nothing is materialized on the delta path.
     const std::size_t full_bytes = report_wire_size(
         stability_.tracked_senders(), stability_.entry_wire_bytes(),
         stability_.own_debts(), stability_.debt_wire_bytes());
     net_.note_gossip_bytes_saved(
         static_cast<std::uint64_t>(full_bytes - report_wire_size(report)) *
-        (view_.size() - 1));
+        successors_.size());
   }
-  const auto m = util::pool_shared<StabilityMessage>(view_.id(), anchor,
-                                                     std::move(report));
-  net_.multicast(self_, view_.members(), m, net::Lane::control);
+  const auto m = util::pool_shared<StabilityMessage>(
+      view_.id(), view_first_seq_ - 1, std::move(report), std::move(relayed));
+  for (const auto successor : successors_) {
+    net_.send(self_, successor, m, net::Lane::control);
+  }
   arm_stability_gossip();  // keep gossiping while traffic flows
 }
 
@@ -572,29 +521,41 @@ StabilityReport Node::take_report(bool full) {
   return report;
 }
 
-bool Node::merge_stability(net::ProcessId origin,
-                           std::optional<std::uint64_t> anchor,
-                           const StabilityReport& report) {
+bool Node::merge_row(net::ProcessId origin,
+                     std::optional<std::uint64_t> anchor,
+                     const StabilityReport& report) {
   bool news = anchor.has_value() && stability_.set_anchor(origin, *anchor);
   news |= stability_.merge_debts(origin, report.debts);
   news |= stability_.merge_report(origin, report.seen);
+  if (relays()) {
+    // The ledger prunes merged debts once the *local* frontier passes them,
+    // but a successor may still need them: keep them for onward relay even
+    // when this row taught nothing.  A row that taught something changed
+    // what this node relays for its origin.
+    if (!report.debts.empty()) {
+      auto& retained = relay_debts_[origin];
+      for (const auto& debt : report.debts) {
+        retained.try_emplace(debt.seq, debt.cover_seq);
+      }
+    }
+    if (news) dirty_rows_.insert(origin);
+  }
   return news;
 }
 
 void Node::handle_stability(net::ProcessId from,
                             const std::shared_ptr<const StabilityMessage>& m) {
   if (excluded_ || m->view() != view_.id()) return;  // stale or early; drop
-  const bool news = merge_stability(from, m->anchor(), m->report());
-  if (ring_mode() && news) {
-    // The sender's round is relayable knowledge: its row changed here.
-    dirty_rows_.insert(from);
-    retain_relay_debts(from, m->report().debts);
+  bool news = merge_row(from, m->anchor(), m->report());
+  for (const auto& row : m->relayed()) {
+    if (row.origin == self_) continue;  // nobody relays our state to us
+    news |= merge_row(row.origin, row.anchor, row.report);
   }
   collect_stable();
   // Merging can advance this node's own covered frontiers (a debt just
-  // explained a gap) — that is reportable state, so the gossip must run
-  // again even if no data arrives in the meantime.
-  if (stability_.dirty()) {
+  // explained a gap) or change a row it relays — that is reportable state,
+  // so the gossip must run again even if no data arrives in the meantime.
+  if (stability_.dirty() || !dirty_rows_.empty()) {
     note_gossip_progress();
     arm_stability_gossip();
     return;
@@ -641,8 +602,14 @@ void Node::collect_stable() {
   }
   // Debts whose seq every member's frontier passed retire with the
   // messages they explained — the ledger stays bounded by the un-stable
-  // window.
+  // window.  So do the debts kept for relay: no successor needs them.
   stats_.debts_collected += stability_.collect_debts(view_, self_);
+  for (auto it = relay_debts_.begin(); it != relay_debts_.end();) {
+    auto& debts = it->second;
+    const std::uint64_t floor = stability_.floor_of(it->first, view_, self_);
+    debts.erase(debts.begin(), debts.upper_bound(floor));
+    it = debts.empty() ? relay_debts_.erase(it) : std::next(it);
+  }
 }
 
 void Node::maybe_attach_piggyback(DataMessage& m) {
@@ -673,10 +640,7 @@ void Node::merge_piggyback(net::ProcessId from, const StabilityPiggyback& pb) {
   // commutative, so piggyback-vs-gossip arrival order never matters.  A
   // piggyback never asks for an anti-entropy refresh: it rides data, so a
   // no-news section is ordinary traffic, not a stuck peer.
-  if (merge_stability(from, pb.anchor, pb.report) && ring_mode()) {
-    dirty_rows_.insert(from);
-    retain_relay_debts(from, pb.report.debts);
-  }
+  merge_row(from, pb.anchor, pb.report);
   collect_stable();
   if (stability_.dirty()) {
     note_gossip_progress();
@@ -840,7 +804,7 @@ void Node::install(const ProposalValue& decided) {
   stability_.reset();
   dirty_rows_.clear();   // relayed rows are per-view, like the ledger
   relay_debts_.clear();
-  compute_ring_successors();
+  compute_successors();
   view_first_seq_ = next_seq_;  // this view's seqs start here
   stability_.set_anchor(self_, view_first_seq_ - 1);
   stability_.clear_dirty();  // an anchor alone is not worth a gossip round
@@ -906,13 +870,9 @@ bool Node::on_message(net::ProcessId from, const net::MessagePtr& message,
       handle_pred(from, std::static_pointer_cast<const PredMessage>(message));
       return true;
     case net::MessageType::stability:
+    case net::MessageType::stability_digest:
       handle_stability(
           from, std::static_pointer_cast<const StabilityMessage>(message));
-      return true;
-    case net::MessageType::stability_digest:
-      handle_stability_digest(
-          from,
-          std::static_pointer_cast<const StabilityDigestMessage>(message));
       return true;
     case net::MessageType::consensus: {
       const bool consumed = consensus_mux_.on_message(from, message);

@@ -4,18 +4,20 @@
 //
 //   t1  try_deliver()            — application consumes the queue head
 //   t2  multicast()              — send tagged data + self-insert + purge
-//   t3  handle_data()            — accept data of the current view, suppress
-//                                  obsolete arrivals, purge the queue
+//   t3  handle_data()            — accept data of the current view, purge
+//                                  the queue
 //   t4  request_view_change()    — disseminate INIT
 //   t5  handle_init()            — forward INIT, block, emit PRED
 //   t6  handle_pred()            — accumulate global-pred / pred-received
 //   t7  try_propose()+install()  — propose to consensus, flush the decided
 //                                  pred-view, deliver VIEW, unblock
 //
-// The shaded (SVS-specific) parts of Figure 1 — every purge call and the
-// obsolescence test of t3 — are controlled by NodeConfig: with purging
-// disabled or the EmptyRelation, the node is a conventional View Synchrony
-// implementation, which is the paper's "reliable" baseline.
+// The shaded (SVS-specific) parts of Figure 1 — every purge call — are
+// controlled by NodeConfig: with purging disabled or the EmptyRelation, the
+// node is a conventional View Synchrony implementation, which is the
+// paper's "reliable" baseline.  t3's obsolescence test never fires here:
+// obsolescence is per-sender and channels are FIFO, so nothing accepted
+// can cover an arrival, and handle_data does not run it.
 //
 // Bounded buffers and flow control follow the simulation model of §5.3:
 // the delivery queue bounds its data occupancy (control entries and
@@ -75,8 +77,8 @@ struct NodeConfig {
   /// sections also piggyback on outgoing DATA (at most one per
   /// stability_interval), so a group under traffic needs almost no
   /// standalone gossip and an idle group goes silent.  Views of 16 or more
-  /// members gossip ring-aggregated digests instead of all-to-all rounds
-  /// (DESIGN.md §11).
+  /// members send each round to two ring successors, which relay what it
+  /// taught them, instead of to every member (DESIGN.md §11).
   sim::Duration stability_interval = sim::Duration::millis(50);
 };
 
@@ -85,7 +87,11 @@ struct NodeStats {
   std::uint64_t multicast_blocked = 0;   // t2 attempts refused by flow control
   std::uint64_t delivered_data = 0;
   std::uint64_t purged_delivery = 0;     // victims removed from the queue
-  std::uint64_t suppressed_obsolete = 0; // arrivals already covered (t3 test)
+  // Arrivals already covered by an accepted message.  Always 0: obsolescence
+  // is per-sender and channels are FIFO, so an arrival is its sender's
+  // newest here and nothing accepted can cover it.  Kept because the
+  // service benchmark reports it.
+  std::uint64_t suppressed_obsolete = 0;
   std::uint64_t stale_view_drops = 0;    // data of superseded views discarded
   std::uint64_t duplicate_drops = 0;     // network-duplicated arrivals dropped
   std::uint64_t refused_data = 0;        // arrivals stalled (buffer full)
@@ -98,8 +104,8 @@ struct NodeStats {
   std::uint64_t gossip_rounds_suppressed = 0;  // clean rounds not sent
   std::uint64_t gossip_heartbeats = 0;      // forced full rounds at silence
   std::uint64_t frontier_piggybacks = 0;    // stability sections on DATA
-  std::uint64_t digest_rounds = 0;          // ring digests sent (pre-fanout)
-  std::uint64_t digest_rows_sent = 0;       // rows shipped across digests
+  std::uint64_t digest_rounds = 0;     // relaying rounds sent (pre-fanout)
+  std::uint64_t digest_rows_sent = 0;  // their rows, the sender's own included
   std::uint64_t views_installed = 0;
   std::uint64_t view_changes_initiated = 0;
   sim::Duration last_change_latency = sim::Duration::zero();
@@ -187,6 +193,15 @@ class Node final : public net::Endpoint {
   [[nodiscard]] const StabilityLedger& stability_ledger() const {
     return stability_;
   }
+  /// True when this view's stability rounds relay other origins' rows:
+  /// the successors do not reach every other member (16 or more members,
+  /// DESIGN.md §11).
+  [[nodiscard]] bool relays() const {
+    return successors_.size() + 1 < view_.size();
+  }
+  /// Purge debts of other origins kept for onward relay (0 unless relays());
+  /// bounded by the un-stable window, like the ledger's own counts.
+  [[nodiscard]] std::size_t relayed_debts() const;
   /// The view-change consensus instances (lifetime asserts).
   [[nodiscard]] const consensus::Mux& consensus_mux() const {
     return consensus_mux_;
@@ -232,29 +247,23 @@ class Node final : public net::Endpoint {
   /// The ledger's next report (full or delta), counted into the debt
   /// telemetry — what a gossip round or a piggyback ships.
   [[nodiscard]] StabilityReport take_report(bool full);
-  /// Merges `origin`'s report — from its gossip round, its piggyback or a
-  /// relayed digest row — exactly as if the origin's round had arrived
-  /// directly.  The anchor is absent only on relayed rows that do not know
-  /// it yet.  Returns true when anything was news.
-  bool merge_stability(net::ProcessId origin,
-                       std::optional<std::uint64_t> anchor,
-                       const StabilityReport& report);
+  /// Merges one row — `origin`'s report from its own round, from its
+  /// piggyback, or relayed by another member — exactly as if the origin's
+  /// round had arrived directly.  The anchor is absent only on relayed rows
+  /// that do not know it yet.  In a relaying view the row's debts are kept
+  /// for onward relay and a row that taught something marks its origin
+  /// dirty.  Returns true when anything was news.
+  bool merge_row(net::ProcessId origin, std::optional<std::uint64_t> anchor,
+                 const StabilityReport& report);
   void handle_stability(net::ProcessId from,
                         const std::shared_ptr<const StabilityMessage>& m);
   void collect_stable();
-  /// Ring-aggregated stability digests (DESIGN.md §11): whether this view
-  /// gossips on the ring, the deterministic successor list, building a
-  /// relayed row for an origin, merging an incoming digest, and retaining
-  /// relayed debts past the ledger's local-frontier pruning.
-  [[nodiscard]] bool ring_mode() const;
-  void compute_ring_successors();
-  [[nodiscard]] StabilityDigestMessage::Row make_relay_row(
+  /// Stability successors and relayed rows (DESIGN.md §11): the members a
+  /// round goes to (recomputed at install), and the row this node relays
+  /// for an origin.
+  void compute_successors();
+  [[nodiscard]] StabilityMessage::Row make_relay_row(
       net::ProcessId origin) const;
-  void handle_stability_digest(
-      net::ProcessId from,
-      const std::shared_ptr<const StabilityDigestMessage>& m);
-  void retain_relay_debts(net::ProcessId origin,
-                          const StabilityReport::Debts& debts);
   void consider_refresh(bool news);
   /// Quiescent-gossip helpers (DESIGN.md §10): attach a delta stability
   /// section to an outgoing DATA (rate-limited), merge an incoming one
@@ -301,13 +310,14 @@ class Node final : public net::Endpoint {
   sim::TimePoint last_refresh_;
   bool piggyback_sent_ = false;
   sim::TimePoint last_piggyback_;
-  // Ring-digest state (ring mode only, reset per view): the deterministic
-  // successor list, origins whose relayed row changed since the last
-  // digest, and the per-origin debts retained for onward relay (the ledger
-  // prunes merged debts once the *local* frontier passes them, but a ring
-  // successor may still need them; these retire at install or once
-  // globally stable).
-  std::vector<net::ProcessId> ring_successors_;
+  // The members a stability round goes to, in view order below 16 members
+  // and the two ring successors at or above.  Relaying state (relaying
+  // views only, reset per view): origins whose relayed row changed since
+  // the last round, and the per-origin debts retained for onward relay
+  // (the ledger prunes merged debts once the *local* frontier passes them,
+  // but a successor may still need them; these retire at install or once
+  // the origin's floor passes them).
+  std::vector<net::ProcessId> successors_;
   std::set<net::ProcessId> dirty_rows_;
   std::map<net::ProcessId, std::map<std::uint64_t, std::uint64_t>>
       relay_debts_;

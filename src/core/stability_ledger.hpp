@@ -51,7 +51,7 @@
 //
 // The ledger owns the state and the stability arithmetic and produces the
 // StabilityReport (take_delta / take_snapshot) that every carrier ships —
-// gossip round, DATA piggyback, digest row; the Node owns the gossip timer,
+// gossip round, DATA piggyback, relayed row; the Node owns the gossip timer,
 // the carriers and the wire traffic (it knows the network and the
 // quiescence rules), and merges every incoming report through one path.
 #pragma once
@@ -168,8 +168,8 @@ class StabilityLedger {
   bool merge_report(net::ProcessId from, const StabilityReport::Seen& seen);
 
   /// The latest reception vectors reported by (or relayed for) each peer —
-  /// the relay source for ring-aggregated stability digests (DESIGN.md
-  /// §11): a digest row for origin `o` re-ships exactly peer_reports()[o].
+  /// the relay source of relaying stability rounds (DESIGN.md §11): a
+  /// relayed row for origin `o` re-ships exactly peer_reports()[o].
   [[nodiscard]] const std::map<net::ProcessId,
                                std::map<net::ProcessId, std::uint64_t>>&
   peer_reports() const {
@@ -177,8 +177,8 @@ class StabilityLedger {
   }
 
   /// The per-view channel anchor learned for `sender`, if any — relayed in
-  /// digest rows so members that never heard the origin directly can still
-  /// anchor its channel.
+  /// rows so members that never heard the origin directly can still anchor
+  /// its channel.
   [[nodiscard]] std::optional<std::uint64_t> channel_anchor(
       net::ProcessId sender) const {
     const auto it = channels_.find(sender);

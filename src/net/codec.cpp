@@ -1,9 +1,7 @@
 #include "net/codec.hpp"
 
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -21,67 +19,7 @@ namespace svs::net {
 namespace {
 
 // ---------------------------------------------------------------------------
-// registries
-// ---------------------------------------------------------------------------
-
-template <typename EncodeFn, typename DecodeFn>
-struct Registry {
-  struct Entry {
-    EncodeFn encode;
-    DecodeFn decode;
-  };
-  std::mutex mutex;
-  std::map<std::uint32_t, Entry> entries;
-
-  void add(std::uint32_t kind, EncodeFn encode, DecodeFn decode) {
-    SVS_REQUIRE(kind != 0, "kind 0 is the reserved opaque fallback");
-    SVS_REQUIRE(encode != nullptr && decode != nullptr,
-                "codec functions must be callable");
-    const std::lock_guard<std::mutex> lock(mutex);
-    entries[kind] = Entry{encode, decode};
-  }
-
-  /// Returned by value (two function pointers): nothing escapes the lock,
-  /// so concurrent lookups never alias a mutating map slot.
-  [[nodiscard]] std::optional<Entry> find(std::uint32_t kind) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = entries.find(kind);
-    if (it == entries.end()) return std::nullopt;
-    return it->second;
-  }
-};
-
-using PayloadRegistry =
-    Registry<PayloadCodecRegistry::Encode, PayloadCodecRegistry::Decode>;
-using ValueRegistry =
-    Registry<ValueCodecRegistry::Encode, ValueCodecRegistry::Decode>;
-
-// Built-in codecs are registered on first registry access, so no static
-// initialization order or library dead-stripping games are required.
-void ensure_builtins();
-
-PayloadRegistry& payload_registry_instance() {
-  static PayloadRegistry registry;
-  return registry;
-}
-
-ValueRegistry& value_registry_instance() {
-  static ValueRegistry registry;
-  return registry;
-}
-
-PayloadRegistry& payload_registry() {
-  ensure_builtins();
-  return payload_registry_instance();
-}
-
-ValueRegistry& value_registry() {
-  ensure_builtins();
-  return value_registry_instance();
-}
-
-// ---------------------------------------------------------------------------
-// built-in payload codec: workload::ItemOp (payload_kind 1)
+// the payload kind: workload::ItemOp (payload_kind 1)
 // ---------------------------------------------------------------------------
 
 void encode_item_op(const core::Payload& payload, util::ByteWriter& w) {
@@ -111,7 +49,7 @@ core::PayloadPtr decode_item_op(util::ByteReader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// built-in value codec: core::ProposalValue (value_kind 1)
+// the value kind: core::ProposalValue (value_kind 1)
 // ---------------------------------------------------------------------------
 
 void encode_proposal(const consensus::ValueBase& value, util::ByteWriter& w) {
@@ -148,29 +86,21 @@ consensus::ValuePtr decode_proposal(util::ByteReader& r) {
       core::View(view_id, std::move(members)), std::move(pred));
 }
 
-void ensure_builtins() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    payload_registry_instance().add(workload::ItemOp::kPayloadKind,
-                                    encode_item_op, decode_item_op);
-    value_registry_instance().add(core::ProposalValue::kValueKind,
-                                  encode_proposal, decode_proposal);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // framed blobs: [kind u32][length u64][body]
 //
 // One protocol shared by application payloads and consensus values, so the
 // framing rules (opaque filler for kind 0, exact-length asserts on both
-// sides) cannot drift between the two.  `length` is the object's
-// wire_size(): the framing contract every codec honours, so a counting
-// writer takes it as the body's size without touching the registry.
+// sides) cannot drift between the two.  Each side knows exactly one
+// interpretable kind besides 0; any other kind throws.  `length` is the
+// object's wire_size(): the framing contract both codecs honour, so a
+// counting writer takes it as the body's size without encoding the body.
 // ---------------------------------------------------------------------------
 
-template <typename Object, typename Registry>
+template <typename Object>
 void write_framed(util::ByteWriter& w, std::uint32_t kind, std::size_t length,
-                  const Object* object, Registry& (*registry)()) {
+                  const Object* object, std::uint32_t known_kind,
+                  void (*encode)(const Object&, util::ByteWriter&)) {
   w.u32(kind);
   w.u64(length);
   if (kind == 0 || w.counts_only()) {
@@ -180,23 +110,20 @@ void write_framed(util::ByteWriter& w, std::uint32_t kind, std::size_t length,
     w.zeros(length);
     return;
   }
+  SVS_REQUIRE(kind == known_kind,
+              "kind has no codec; only opaque (0) and built-in kinds cross "
+              "a byte-moving transport");
   const std::size_t start = w.size();
-  const auto entry = registry().find(kind);
-  SVS_REQUIRE(entry.has_value(),
-              "kind has no registered codec; register it before sending "
-              "over a byte-moving transport");
-  entry->encode(*object, w);
+  encode(*object, w);
   SVS_ASSERT(w.size() - start == length,
-             "registered codec wrote a different number of bytes than the "
-             "object's wire_size()");
+             "codec wrote a different number of bytes than the object's "
+             "wire_size()");
 }
 
-/// MakeOpaque builds the kind-0 stand-in from the framed length; GetKind
-/// reads the decoded object's kind back for the shape check.
-template <typename Ptr, typename Registry, typename MakeOpaque,
-          typename GetKind>
-Ptr read_framed(util::ByteReader& r, Registry& registry,
-                MakeOpaque&& make_opaque, GetKind&& get_kind) {
+/// MakeOpaque builds the kind-0 stand-in from the framed length.
+template <typename Ptr, typename MakeOpaque>
+Ptr read_framed(util::ByteReader& r, std::uint32_t known_kind,
+                Ptr (*decode)(util::ByteReader&), MakeOpaque&& make_opaque) {
   const std::uint32_t kind = r.u32();
   const std::uint64_t length = r.u64();
   SVS_REQUIRE(length <= r.remaining(), "framed body truncated");
@@ -204,19 +131,17 @@ Ptr read_framed(util::ByteReader& r, Registry& registry,
     r.skip(length);
     return make_opaque(length);
   }
-  const auto entry = registry.find(kind);
-  SVS_REQUIRE(entry.has_value(), "unknown kind on the wire");
+  SVS_REQUIRE(kind == known_kind, "unknown kind on the wire");
   const std::size_t start = r.position();
-  Ptr decoded = entry->decode(r);
-  SVS_REQUIRE(decoded != nullptr && r.position() - start == length &&
-                  get_kind(*decoded) == kind,
-              "registered codec decoded a different shape than framed");
+  Ptr decoded = decode(r);
+  SVS_REQUIRE(r.position() - start == length,
+              "framed body length disagrees with its contents");
   return decoded;
 }
 
 // ---------------------------------------------------------------------------
 // the stability report: one section for gossip rounds, DATA piggybacks and
-// digest rows — seen-count u64 · (sender u32 · frontier u64) each ·
+// relayed rows — seen-count u64 · (sender u32 · frontier u64) each ·
 // debt-count u64 · (seq u64 · cover-gap u64) each
 // ---------------------------------------------------------------------------
 
@@ -277,17 +202,16 @@ bool read_flag(util::ByteReader& r) {
 void encode_payload(const core::PayloadPtr& payload, util::ByteWriter& w) {
   const std::uint32_t kind = payload != nullptr ? payload->payload_kind() : 0;
   const std::size_t length = payload != nullptr ? payload->wire_size() : 0;
-  write_framed(w, kind, length, payload.get(), payload_registry);
+  write_framed(w, kind, length, payload.get(),
+               workload::ItemOp::kPayloadKind, encode_item_op);
 }
 
 core::PayloadPtr decode_payload(util::ByteReader& r) {
-  return read_framed<core::PayloadPtr>(
-      r, payload_registry(),
-      [](std::uint64_t length) -> core::PayloadPtr {
-        if (length == 0) return nullptr;
-        return util::pool_shared<core::OpaquePayload>(length);
-      },
-      [](const core::Payload& p) { return p.payload_kind(); });
+  return read_framed(r, workload::ItemOp::kPayloadKind, decode_item_op,
+                     [](std::uint64_t length) -> core::PayloadPtr {
+                       if (length == 0) return nullptr;
+                       return util::pool_shared<core::OpaquePayload>(length);
+                     });
 }
 
 void encode_data(const core::DataMessage& m, util::ByteWriter& w) {
@@ -356,17 +280,46 @@ MessagePtr decode_pred(util::ByteReader& r) {
   return util::pool_shared<core::PredMessage>(view, std::move(accepted));
 }
 
+/// Both stability tags: view · anchor · report, then — only under
+/// stability_digest — relay-count u64 · (origin u32 · has-anchor u8 ·
+/// [anchor u64] · report) each.  The count is at least one, so each round
+/// has exactly one encoding.
 void encode_stability(const core::StabilityMessage& m, util::ByteWriter& w) {
   w.u64(m.view().value());
   w.u64(m.anchor());
   encode_report(m.report(), w);
+  if (m.relayed().empty()) return;
+  w.u64(m.relayed().size());
+  for (const auto& row : m.relayed()) {
+    w.u32(row.origin.value());
+    w.u8(row.anchor.has_value() ? 1 : 0);
+    if (row.anchor.has_value()) w.u64(*row.anchor);
+    encode_report(row.report, w);
+  }
 }
 
-MessagePtr decode_stability(util::ByteReader& r) {
+MessagePtr decode_stability(util::ByteReader& r, bool relaying) {
   const core::ViewId view(r.u64());
   const std::uint64_t anchor = r.u64();
-  return util::pool_shared<core::StabilityMessage>(view, anchor,
-                                                  decode_report(r));
+  core::StabilityReport report = decode_report(r);
+  core::StabilityMessage::Rows relayed;
+  if (relaying) {
+    const std::uint64_t row_count = r.u64();
+    SVS_REQUIRE(row_count >= 1, "a relaying round carries at least one row");
+    // Each row is at least four bytes (origin, presence flag, two counts).
+    SVS_REQUIRE(row_count <= r.remaining(),
+                "relayed row section longer than the buffer");
+    relayed.reserve(row_count);
+    for (std::uint64_t i = 0; i < row_count; ++i) {
+      core::StabilityMessage::Row row;
+      row.origin = ProcessId(r.u32());
+      if (read_flag(r)) row.anchor = r.u64();
+      row.report = decode_report(r);
+      relayed.push_back(std::move(row));
+    }
+  }
+  return util::pool_shared<core::StabilityMessage>(
+      view, anchor, std::move(report), std::move(relayed));
 }
 
 // -- SWIM probe traffic (DESIGN.md §11) -------------------------------------
@@ -440,39 +393,6 @@ MessagePtr decode_swim_ack(util::ByteReader& r) {
                                                decode_swim_updates(r));
 }
 
-// -- ring-aggregated stability digest (DESIGN.md §11) -----------------------
-
-void encode_stability_digest(const core::StabilityDigestMessage& m,
-                             util::ByteWriter& w) {
-  w.u64(m.view().value());
-  w.u64(m.rows().size());
-  for (const auto& row : m.rows()) {
-    w.u32(row.origin.value());
-    w.u8(row.anchor.has_value() ? 1 : 0);
-    if (row.anchor.has_value()) w.u64(*row.anchor);
-    encode_report(row.report, w);
-  }
-}
-
-MessagePtr decode_stability_digest(util::ByteReader& r) {
-  const core::ViewId view(r.u64());
-  const std::uint64_t row_count = r.u64();
-  // Each row is at least four bytes (origin, presence flag, two counts).
-  SVS_REQUIRE(row_count <= r.remaining(),
-              "digest row section longer than the buffer");
-  core::StabilityDigestMessage::Rows rows;
-  rows.reserve(row_count);
-  for (std::uint64_t i = 0; i < row_count; ++i) {
-    core::StabilityDigestMessage::Row row;
-    row.origin = ProcessId(r.u32());
-    if (read_flag(r)) row.anchor = r.u64();
-    row.report = decode_report(r);
-    rows.push_back(std::move(row));
-  }
-  return util::pool_shared<core::StabilityDigestMessage>(view,
-                                                         std::move(rows));
-}
-
 void encode_consensus(const consensus::ConsensusMessage& m,
                       util::ByteWriter& w) {
   w.u64(m.instance().value());
@@ -483,7 +403,7 @@ void encode_consensus(const consensus::ConsensusMessage& m,
   w.u8(value != nullptr ? 1 : 0);
   if (value == nullptr) return;
   write_framed(w, value->value_kind(), value->wire_size(), value.get(),
-               value_registry);
+               core::ProposalValue::kValueKind, encode_proposal);
 }
 
 MessagePtr decode_consensus(util::ByteReader& r) {
@@ -496,12 +416,11 @@ MessagePtr decode_consensus(util::ByteReader& r) {
   const consensus::Round timestamp = r.u32();
   consensus::ValuePtr value;
   if (read_flag(r)) {
-    value = read_framed<consensus::ValuePtr>(
-        r, value_registry(),
-        [](std::uint64_t length) {
-          return util::pool_shared<consensus::OpaqueValue>(length);
-        },
-        [](const consensus::ValueBase& v) { return v.value_kind(); });
+    value = read_framed(r, core::ProposalValue::kValueKind, decode_proposal,
+                        [](std::uint64_t length) -> consensus::ValuePtr {
+                          return util::pool_shared<consensus::OpaqueValue>(
+                              length);
+                        });
   }
   return util::pool_shared<consensus::ConsensusMessage>(
       instance, round, static_cast<consensus::Phase>(phase_raw),
@@ -509,28 +428,6 @@ MessagePtr decode_consensus(util::ByteReader& r) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// registries (public surface)
-// ---------------------------------------------------------------------------
-
-void PayloadCodecRegistry::register_codec(std::uint32_t kind, Encode encode,
-                                          Decode decode) {
-  payload_registry().add(kind, encode, decode);
-}
-
-bool PayloadCodecRegistry::registered(std::uint32_t kind) {
-  return payload_registry().find(kind).has_value();
-}
-
-void ValueCodecRegistry::register_codec(std::uint32_t kind, Encode encode,
-                                        Decode decode) {
-  value_registry().add(kind, encode, decode);
-}
-
-bool ValueCodecRegistry::registered(std::uint32_t kind) {
-  return value_registry().find(kind).has_value();
-}
 
 // ---------------------------------------------------------------------------
 // codec
@@ -557,6 +454,7 @@ void Codec::encode(const Message& m, util::ByteWriter& w) {
       encode_pred(static_cast<const core::PredMessage&>(m), w);
       break;
     case MessageType::stability:
+    case MessageType::stability_digest:
       encode_stability(static_cast<const core::StabilityMessage&>(m), w);
       break;
     case MessageType::consensus:
@@ -572,10 +470,6 @@ void Codec::encode(const Message& m, util::ByteWriter& w) {
       break;
     case MessageType::swim_ack:
       encode_swim_ack(static_cast<const fd::SwimAckMessage&>(m), w);
-      break;
-    case MessageType::stability_digest:
-      encode_stability_digest(
-          static_cast<const core::StabilityDigestMessage&>(m), w);
       break;
     case MessageType::other:
       SVS_REQUIRE(false,
@@ -611,7 +505,7 @@ MessagePtr Codec::decode(util::ByteReader& r) {
     case MessageType::pred:
       return decode_pred(r);
     case MessageType::stability:
-      return decode_stability(r);
+      return decode_stability(r, /*relaying=*/false);
     case MessageType::consensus:
       return decode_consensus(r);
     case MessageType::heartbeat:
@@ -623,7 +517,7 @@ MessagePtr Codec::decode(util::ByteReader& r) {
     case MessageType::swim_ack:
       return decode_swim_ack(r);
     case MessageType::stability_digest:
-      return decode_stability_digest(r);
+      return decode_stability(r, /*relaying=*/true);
     case MessageType::other:
       break;
   }

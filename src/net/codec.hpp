@@ -9,61 +9,32 @@
 // encoder's own count, on the simulator (which never encodes) as much as on
 // the UDP backend.  The stability report — covered frontiers plus purge
 // debts — is one section shared by the gossip round, the DATA piggyback and
-// every digest row, with one encoder and one validating decoder.
+// every relayed row, with one encoder and one validating decoder.
 //
-// Extensibility mirrors the two open points of the format:
+// Payloads and consensus values are length-framed blobs,
+// [kind varint][length varint][body], of a closed set of kinds:
 //
-//   * application payloads (core::Payload) are framed as
-//     [payload_kind varint][length varint][body] and dispatched through
-//     PayloadCodecRegistry — kind 0 is the size-preserving opaque fallback,
-//     positive kinds (workload::ItemOp, ...) round-trip exactly;
-//   * consensus values (consensus::ValueBase) are framed the same way
-//     through ValueCodecRegistry (core::ProposalValue is the built-in).
+//   * kind 0 is opaque filler — `wire_size()` zero bytes that decode to a
+//     size-preserving stand-in (core::OpaquePayload, consensus::OpaqueValue);
+//   * workload::ItemOp is the one interpretable payload kind and
+//     core::ProposalValue the one interpretable value kind; both round-trip
+//     field by field.
+//
+// Any other kind throws util::ContractViolation, on encode and on decode.
 //
 // Decoding is hardened for untrusted bytes: truncated varints, bad tags,
 // unknown kinds, length overruns and garbage suffixes all throw
 // util::ContractViolation — never UB (tests/codec_test.cpp fuzzes this).
-// Decode only reads the codec registries, so it is thread-safe after
-// registration; register codecs before traffic flows.
+// The codec holds no state, so any thread may encode or decode.
 #pragma once
 
 #include <cstdint>
 
-#include "consensus/value.hpp"
 #include "core/message.hpp"
 #include "net/message.hpp"
 #include "util/bytes.hpp"
 
 namespace svs::net {
-
-/// payload_kind-keyed encode/decode registry for application payloads.
-/// Plain function pointers: codecs are stateless by design.
-class PayloadCodecRegistry {
- public:
-  /// Must write exactly payload.wire_size() bytes (asserted by the codec).
-  using Encode = void (*)(const core::Payload& payload, util::ByteWriter& w);
-  /// Must consume exactly the framed length and return non-null; anything
-  /// unparseable must throw util::ContractViolation.
-  using Decode = core::PayloadPtr (*)(util::ByteReader& r);
-
-  /// Registers (or replaces) the codec for `kind` (> 0; 0 is the opaque
-  /// fallback).  Call before traffic flows.
-  static void register_codec(std::uint32_t kind, Encode encode, Decode decode);
-
-  [[nodiscard]] static bool registered(std::uint32_t kind);
-};
-
-/// value_kind-keyed registry for consensus values, same contract.
-class ValueCodecRegistry {
- public:
-  using Encode = void (*)(const consensus::ValueBase& value,
-                          util::ByteWriter& w);
-  using Decode = consensus::ValuePtr (*)(util::ByteReader& r);
-
-  static void register_codec(std::uint32_t kind, Encode encode, Decode decode);
-
-  [[nodiscard]] static bool registered(std::uint32_t kind);
-};
 
 class Codec {
  public:
@@ -71,7 +42,7 @@ class Codec {
   /// writer this is how m.wire_size() is computed.  Throws
   /// ContractViolation for MessageType::other (test-only messages have no
   /// wire format) and, when actually encoding, for payload/value kinds
-  /// without a registered codec.
+  /// other than opaque (0) and the built-in ones.
   static void encode(const Message& m, util::ByteWriter& w);
 
   /// Convenience: `m` as a fresh byte buffer.

@@ -36,13 +36,13 @@ enum class MessageType : std::uint8_t {
   data,              // core::DataMessage
   init,              // core::InitMessage
   pred,              // core::PredMessage
-  stability,         // core::StabilityMessage
+  stability,         // core::StabilityMessage without relayed rows
   consensus,         // consensus::ConsensusMessage
   heartbeat,         // fd::HeartbeatMessage
   swim_ping,         // fd::SwimPingMessage
   swim_ping_req,     // fd::SwimPingReqMessage
   swim_ack,          // fd::SwimAckMessage
-  stability_digest,  // core::StabilityDigestMessage
+  stability_digest,  // core::StabilityMessage with relayed rows
 };
 
 /// Base class for everything that travels through the network.

@@ -466,7 +466,7 @@ bool UdpTransport::shadow_cross(ProcessId from, std::size_t to_index,
     // traffic — the protocol already has its verdict.
     const std::int64_t start = mono_us();
     for (;;) {
-      service_once(1'000);
+      pump(1'000);
       SVS_ASSERT(!link.dead(),
                  "all-local reliable link exhausted its retries");
       batched = 0;
@@ -490,7 +490,7 @@ bool UdpTransport::shadow_cross(ProcessId from, std::size_t to_index,
   // skips the per-socket recv syscalls entirely.
   ++crossings_;
   if (crossings_ % kServiceEvery == 0) {
-    service_once(0);
+    pump(0);
   } else if (wheel_.next_deadline_us() <=
              static_cast<std::uint64_t>(mono_us())) {
     pump_wheel(mono_us());
@@ -880,7 +880,7 @@ void UdpTransport::link_death(Proc& p, const LinkKey& key) {
 // ---------------------------------------------------------------------------
 // Service loop
 
-std::size_t UdpTransport::service_once(std::int64_t timeout_us) {
+std::size_t UdpTransport::pump(std::int64_t timeout_us) {
   std::int64_t now = mono_us();
   pump_wheel(now);
   std::size_t handled = 0;
@@ -906,15 +906,6 @@ std::size_t UdpTransport::service_once(std::int64_t timeout_us) {
     for (const auto& p : procs_) flush_sendq(*p);
   }
   return handled;
-}
-
-std::size_t UdpTransport::service(std::int64_t timeout_us) {
-  return service_once(timeout_us);
-}
-
-std::size_t UdpTransport::pump(std::int64_t timeout_us) {
-  SVS_REQUIRE(distributed_, "pump() drives the distributed mode");
-  return service_once(timeout_us);
 }
 
 }  // namespace svs::net

@@ -306,11 +306,6 @@ class UdpTransport final : public Transport {
   /// outbound proxy with the inner network.  Call after the constructor
   /// (bind_local = true) and before protocol traffic flows.
   void add_peer(ProcessId id, std::uint16_t port);
-  /// Drains arriving datagrams, fires due wheel deadlines and flushes the
-  /// send queues; if nothing is pending, waits up to `timeout_us` for a
-  /// datagram (capped by the earliest wheel deadline).  Returns the number
-  /// of datagrams handled.
-  std::size_t pump(std::int64_t timeout_us);
   /// Pre-protocol datagrams (join/roster) seen by pump() are handed here
   /// (the introducer re-sends rosters to late joiners); unset, they count
   /// as stray.
@@ -320,13 +315,13 @@ class UdpTransport final : public Transport {
 
   // --- both modes -------------------------------------------------------
 
-  /// One transport service turn: advance the timer wheel (batch flushes,
+  /// One transport turn: advance the timer wheel (batch flushes,
   /// retransmissions, probes), drain every socket, flush every send queue;
   /// when nothing was pending, wait up to `timeout_us` (µs-exact ppoll,
-  /// capped by the earliest wheel deadline).  The all-local shadow wire is
-  /// driven by this — tests drain their shadow traffic with
-  /// `while (!links_idle()) service(...)`.  Returns datagrams handled.
-  std::size_t service(std::int64_t timeout_us);
+  /// capped by the earliest wheel deadline).  Drives both modes — tests
+  /// drain their all-local shadow traffic with
+  /// `while (!links_idle()) pump(...)`.  Returns datagrams handled.
+  std::size_t pump(std::int64_t timeout_us);
 
   /// Local UDP port of process `id` (distributed mode: the single local
   /// process; all-local mode: any attached process).
@@ -549,9 +544,6 @@ class UdpTransport final : public Transport {
   /// Retry budget exhausted towards key.first: crash the peer
   /// (distributed) — an all-local shadow link must never die.
   void link_death(Proc& p, const LinkKey& key);
-  /// One service turn shared by service()/pump(): wheel, sockets, send
-  /// queues, optional µs-exact wait.
-  std::size_t service_once(std::int64_t timeout_us);
 
   Network inner_;
   Config config_;
@@ -566,7 +558,7 @@ class UdpTransport final : public Transport {
   std::map<std::uint32_t, std::uint16_t> peer_ports_; // distributed peers
   std::function<void(const Datagram&)> stray_handler_;
   std::vector<std::uint64_t> due_scratch_;  // retx fire scratch
-  std::vector<int> fd_scratch_;             // service wait scratch
+  std::vector<int> fd_scratch_;             // pump wait scratch
   bool distributed_ = false;
 };
 

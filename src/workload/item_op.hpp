@@ -37,7 +37,7 @@ class ItemOp final : public core::Payload {
   [[nodiscard]] bool commit() const { return commit_; }
 
   [[nodiscard]] std::size_t wire_size() const override {
-    // Exactly what the registered codec writes: op/commit byte + item and
+    // Exactly what the codec writes: op/commit byte + item and
     // round varints + 8 bytes of fixed-width state (the compact fixed-point
     // item value a game server would ship).
     return 1 + util::varint_size(item_) + util::varint_size(round_) + 8;

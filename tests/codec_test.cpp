@@ -1,5 +1,5 @@
 // Wire-codec tests (DESIGN.md §6): a round-trip property for every
-// MessageType and every registered payload/value kind, the measured-bytes
+// MessageType and every payload/value kind, the measured-bytes
 // contract (encoded.size() == wire_size(), always), a byte-for-byte golden
 // of one frame per shape, and decode hardening — truncations, bad tags,
 // garbage suffixes and a deterministic byte-mutation fuzz loop must throw
@@ -31,38 +31,7 @@ using core::DataMessage;
 using core::DataMessagePtr;
 using core::ViewId;
 
-// A registered test payload with interesting fields (string + varint).
-class BlobPayload final : public core::Payload {
- public:
-  static constexpr std::uint32_t kKind = 7;
-
-  BlobPayload(std::uint64_t x, std::string s) : x_(x), s_(std::move(s)) {}
-
-  [[nodiscard]] std::uint64_t x() const { return x_; }
-  [[nodiscard]] const std::string& s() const { return s_; }
-
-  [[nodiscard]] std::size_t wire_size() const override {
-    return util::varint_size(x_) + util::varint_size(s_.size()) + s_.size();
-  }
-  [[nodiscard]] std::uint32_t payload_kind() const override { return kKind; }
-
-  static void encode(const core::Payload& p, util::ByteWriter& w) {
-    const auto& blob = static_cast<const BlobPayload&>(p);
-    w.u64(blob.x_);
-    w.str(blob.s_);
-  }
-  static core::PayloadPtr decode(util::ByteReader& r) {
-    const std::uint64_t x = r.u64();
-    std::string s = r.str();
-    return std::make_shared<BlobPayload>(x, std::move(s));
-  }
-
- private:
-  std::uint64_t x_;
-  std::string s_;
-};
-
-// An unregistered kind-0 payload: must survive as a size-preserving opaque.
+// A kind-0 payload: must survive as a size-preserving opaque.
 class NullPayload final : public core::Payload {
  public:
   explicit NullPayload(std::size_t n) : n_(n) {}
@@ -73,12 +42,6 @@ class NullPayload final : public core::Payload {
 };
 
 struct CodecFixture : ::testing::Test {
-  CodecFixture() {
-    PayloadCodecRegistry::register_codec(BlobPayload::kKind,
-                                         BlobPayload::encode,
-                                         BlobPayload::decode);
-  }
-
   /// Encode, check the measured-bytes contract, decode the whole frame.
   static MessagePtr round_trip(const Message& m) {
     const util::Bytes frame = Codec::encode(m);
@@ -159,18 +122,6 @@ TEST_F(CodecFixture, ItemOpPayloadRoundTripsFieldByField) {
   EXPECT_FALSE(op->commit());
 }
 
-TEST_F(CodecFixture, RegisteredBlobPayloadRoundTrips) {
-  const auto m = make_data(
-      2, 77, obs::Annotation::none(),
-      std::make_shared<BlobPayload>(1ULL << 40, "hello \x01 wire"));
-  const auto back =
-      std::static_pointer_cast<const DataMessage>(round_trip(*m));
-  const auto* blob =
-      static_cast<const BlobPayload*>(back->payload().get());
-  EXPECT_EQ(blob->x(), 1ULL << 40);
-  EXPECT_EQ(blob->s(), "hello \x01 wire");
-}
-
 TEST_F(CodecFixture, OpaquePayloadPreservesWireSize) {
   const auto m = make_data(3, 4, obs::Annotation::none(),
                            std::make_shared<NullPayload>(13));
@@ -233,7 +184,7 @@ TEST_F(CodecFixture, StabilityRoundTrips) {
 
 TEST_F(CodecFixture, ReportSectionIsOneShapeWithExactHelperSizes) {
   // The report section is the same bytes in a gossip round, a DATA
-  // piggyback and a digest row, and the entry/debt/section helpers that
+  // piggyback and a relayed row, and the entry/debt/section helpers that
   // price reports nothing encodes (the full snapshot a delta round
   // avoided) agree with the encoder byte for byte — count varints past
   // one byte included.
@@ -259,8 +210,8 @@ TEST_F(CodecFixture, ReportSectionIsOneShapeWithExactHelperSizes) {
     return Codec::encode(m).size();
   };
   const auto row_bytes = [](const core::StabilityReport& report) {
-    return Codec::encode(core::StabilityDigestMessage(
-                             ViewId(7), {{ProcessId(2), 3, report}}))
+    return Codec::encode(core::StabilityMessage(ViewId(7), 3, {},
+                                                {{ProcessId(2), 3, report}}))
         .size();
   };
   const core::StabilityReport empty;
@@ -433,18 +384,30 @@ TEST_F(CodecFixture, SwimUpdateHardening) {
 }
 
 TEST_F(CodecFixture, StabilityDigestRoundTrips) {
-  core::StabilityDigestMessage::Rows rows;
-  rows.push_back(
+  const core::StabilityMessage::Rows relayed = {
       {ProcessId(0), 41,
        {{{ProcessId(0), 17}, {ProcessId(3), 0}},
-        {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}}});
-  // A relayed row may usefully carry a frontier before its anchor is known.
-  rows.push_back({ProcessId(9), std::nullopt, {{{ProcessId(1), 5}}, {}}});
-  const core::StabilityDigestMessage m(ViewId(3), rows);
+        {core::PurgeDebt{42, 44}, core::PurgeDebt{45, 1u << 21}}}},
+      // A relayed row may usefully carry a frontier before its anchor is
+      // known.
+      {ProcessId(9), std::nullopt, {{{ProcessId(1), 5}}, {}}}};
+  const core::StabilityMessage m(ViewId(3), 7, {{{ProcessId(4), 2}}, {}},
+                                 relayed);
+  EXPECT_EQ(m.type(), MessageType::stability_digest);
   const auto back = round_trip(m);
-  const auto& digest = static_cast<const core::StabilityDigestMessage&>(*back);
-  EXPECT_EQ(digest.view(), ViewId(3));
-  EXPECT_EQ(digest.rows(), rows);
+  const auto& round = static_cast<const core::StabilityMessage&>(*back);
+  EXPECT_EQ(round.view(), ViewId(3));
+  EXPECT_EQ(round.anchor(), 7u);
+  EXPECT_EQ(round.report(), m.report());
+  EXPECT_EQ(round.relayed(), relayed);
+
+  // Without rows the same class takes the plain tag and its bytes.
+  const core::StabilityMessage plain(ViewId(3), 7, m.report());
+  EXPECT_EQ(plain.type(), MessageType::stability);
+  EXPECT_TRUE(
+      static_cast<const core::StabilityMessage&>(*round_trip(plain))
+          .relayed()
+          .empty());
 }
 
 using FrameWriter = std::function<void(util::ByteWriter&)>;
@@ -485,11 +448,14 @@ TEST_F(CodecFixture, ReportSectionHardeningHoldsInEveryCarrier) {
          w.u8(1);   // piggyback present
          w.u64(0);  // anchor
        }},
-      {"digest row",
+      {"relayed row",
        [](util::ByteWriter& w) {
          w.u8(static_cast<std::uint8_t>(MessageType::stability_digest));
          w.u64(1);  // view
-         w.u64(1);  // one row
+         w.u64(0);  // anchor
+         w.u64(0);  // no seen entries
+         w.u64(0);  // no debts
+         w.u64(1);  // one relayed row
          w.u32(0);  // origin
          w.u8(0);   // no anchor
        }},
@@ -547,22 +513,28 @@ TEST_F(CodecFixture, CarrierHeadersAreChecked) {
   };
   // Presence bytes must be 0 or 1.
   bad(write_data_header, [](util::ByteWriter& w) { w.u8(2); });
-  const auto digest_head = [](util::ByteWriter& w) {
+  const auto relaying_head = [](util::ByteWriter& w) {
     w.u8(static_cast<std::uint8_t>(MessageType::stability_digest));
     w.u64(1);  // view
+    w.u64(0);  // anchor
+    w.u64(0);  // no seen entries
+    w.u64(0);  // no debts
   };
-  bad(digest_head, [](util::ByteWriter& w) {
+  bad(relaying_head, [](util::ByteWriter& w) {
     w.u64(1);  // one row
     w.u32(0);  // origin
     w.u8(2);   // bad anchor-presence flag
   });
+  // The relaying tag needs at least one row: a round without rows has
+  // exactly one encoding, the plain stability tag.
+  bad(relaying_head, [](util::ByteWriter& w) { w.u64(0); });
   // An absent piggyback followed by trailing bytes is garbage.
   bad(write_data_header, [](util::ByteWriter& w) {
     w.u8(0);
     w.u64(0);
   });
   // A row count beyond the buffer is rejected before allocation.
-  bad(digest_head, [](util::ByteWriter& w) { w.u64(1ULL << 60); });
+  bad(relaying_head, [](util::ByteWriter& w) { w.u64(1ULL << 60); });
 }
 
 // ---------------------------------------------------------------------------
@@ -632,10 +604,9 @@ std::vector<util::Bytes> corpus() {
       fd::SwimPingReqMessage(10, ProcessId(2), swim_updates_corpus())));
   out.push_back(Codec::encode(
       fd::SwimAckMessage(9, ProcessId(3), 4, swim_updates_corpus())));
-  out.push_back(Codec::encode(core::StabilityDigestMessage(
-      ViewId(2),
-      {{ProcessId(0), 41, {{{ProcessId(0), 17}}, {core::PurgeDebt{42, 44}}}},
-       {ProcessId(1), std::nullopt, {{{ProcessId(1), 5}}, {}}}})));
+  out.push_back(Codec::encode(core::StabilityMessage(
+      ViewId(2), 41, {{{ProcessId(0), 17}}, {core::PurgeDebt{42, 44}}},
+      {{ProcessId(1), std::nullopt, {{{ProcessId(1), 5}}, {}}}})));
   return out;
 }
 
@@ -675,8 +646,8 @@ TEST_F(CodecFixture, CorpusMatchesPinnedWireBytes) {
       "080a0203010000c80101808040030207",
       // swim ack
       "0909030403010000c80101808040030207",
-      // stability digest, anchored and anchor-less rows
-      "0a0202000129010011012a02010001010500",
+      // relaying stability round, one anchor-less relayed row
+      "0a0229010011012a0201010001010500",
   };
   const auto frames = corpus();
   ASSERT_EQ(frames.size(), golden.size());

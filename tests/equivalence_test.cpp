@@ -59,7 +59,7 @@ class Recorder final : public Endpoint {
 UdpLaneStats settle(UdpTransport& udp) {
   const std::int64_t drain = UdpTransport::mono_us() + 10'000'000;
   while (!udp.links_idle() && UdpTransport::mono_us() < drain) {
-    udp.service(1'000);
+    udp.pump(1'000);
   }
   EXPECT_TRUE(udp.links_idle()) << "shadow wire failed to drain";
   return udp.lane_stats();

@@ -183,7 +183,7 @@ class Recorder final : public Endpoint {
 UdpLaneStats settle(UdpTransport& wire) {
   const std::int64_t drain = UdpTransport::mono_us() + 10'000'000;
   while (!wire.links_idle() && UdpTransport::mono_us() < drain) {
-    wire.service(1'000);
+    wire.pump(1'000);
   }
   EXPECT_TRUE(wire.links_idle()) << "shadow wire failed to drain";
   return wire.lane_stats();

@@ -12,6 +12,7 @@
 #include "core/node.hpp"
 #include "obs/relation.hpp"
 #include "sim/simulator.hpp"
+#include "workload/consumer.hpp"
 
 namespace svs::core {
 namespace {
@@ -804,6 +805,72 @@ TEST(Node, PurgeDebtLedgerStaysBounded) {
   }
   EXPECT_EQ(g.node(0).stats().debts_collected,
             g.node(0).stats().debts_recorded);
+}
+
+TEST(Node, DigestRingRetiresRelayedDebts) {
+  // At 16 members stability rounds go to two ring successors and relay
+  // what they learned, debts included (DESIGN.md §11).  The debts a node
+  // keeps for relay must retire once the origin's floor passes them, like
+  // the ledger's own and merged debts; otherwise every full round re-ships
+  // all of them until the next view change.  bench_micro's stability_debt
+  // shape at n = 16: p15 consumes 100/s from two delivery slots against
+  // three cycling items, so p0's backlog towards it purges and records
+  // debts, and the others relay them.
+  constexpr std::size_t kNodes = 16;
+  constexpr std::size_t kMessages = 4000;
+  class Opaque final : public Payload {
+   public:
+    [[nodiscard]] std::size_t wire_size() const override { return 16; }
+  };
+  sim::Simulator sim;
+  Group::Config cfg;
+  cfg.size = kNodes;
+  cfg.node.relation = std::make_shared<obs::KEnumRelation>();
+  cfg.node.delivery_capacity = 2;
+  cfg.node.out_capacity = 10;
+  cfg.auto_membership = false;
+  Group g(sim, cfg);
+  std::vector<std::unique_ptr<workload::InstantConsumer>> instant;
+  for (std::size_t i = 0; i + 1 < kNodes; ++i) {
+    instant.push_back(
+        std::make_unique<workload::InstantConsumer>(sim, g.node(i)));
+    instant.back()->start();
+  }
+  workload::RateConsumer slow(sim, g.node(kNodes - 1), 100.0);
+  slow.start();
+  obs::BatchComposer composer({obs::AnnotationKind::k_enum, 12, 0});
+  std::size_t produced = 0;
+  std::function<void()> produce = [&] {
+    if (produced >= kMessages) return;
+    obs::BatchComposer trial = composer;
+    const auto annotation = trial.single(produced % 3, g.node(0).next_seq());
+    if (g.node(0).multicast(std::make_shared<Opaque>(), annotation)) {
+      composer = std::move(trial);
+      ++produced;
+    }
+    sim.schedule_after(sim::Duration::micros(500), produce);
+  };
+  sim.schedule_after(sim::Duration::micros(500), produce);
+  const auto deadline = sim::TimePoint::origin() + sim::Duration::seconds(60.0);
+  while (sim.now() < deadline && produced < kMessages) {
+    sim.run_until(sim.now() + sim::Duration::seconds(1.0));
+  }
+  ASSERT_EQ(produced, kMessages);
+  sim.run();  // drain + gossip quiescence
+
+  EXPECT_TRUE(g.node(0).relays());
+  EXPECT_GT(g.node(0).stats().debts_recorded, 0u);
+  EXPECT_GT(g.node(0).stats().digest_rounds, 0u);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(g.node(i).delivered_retained(), 0u) << i;
+    EXPECT_EQ(g.node(i).stability_ledger().own_debts(), 0u) << i;
+    EXPECT_EQ(g.node(i).stability_ledger().merged_debts(), 0u) << i;
+    EXPECT_EQ(g.node(i).relayed_debts(), 0u) << i;
+  }
+  // The ring's golden: retiring relayed debts shrinks what rounds carry,
+  // never when they are sent.
+  EXPECT_EQ(g.network().stats().sent, 61'590u);
+  EXPECT_EQ(sim.executed(), 123'216u);
 }
 
 TEST(Node, FlushSafeWhenClippedRepresentationBreaksTransitivity) {

@@ -335,7 +335,7 @@ SmallRunResult run_small(core::Group::Backend backend, double loss_rate,
     // byte-verify before the lane counters are meaningful.
     const std::int64_t drain = UdpTransport::mono_us() + 10'000'000;
     while (!udp->links_idle() && UdpTransport::mono_us() < drain) {
-      udp->service(1'000);
+      udp->pump(1'000);
     }
     EXPECT_TRUE(udp->links_idle()) << "shadow wire failed to drain";
     result.lane = udp->lane_stats();
